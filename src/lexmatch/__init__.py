@@ -37,7 +37,6 @@ from lexmatch.evaluation import (
     hubness,
     load_eval_dictionary,
     precision_at_1,
-    translate_top1,
     word_similarity,
 )
 

@@ -119,13 +119,11 @@ def solve_sparse_lap(g: CandidateGraph) -> Matching:
         raise ValueError("negative edge weight; prune candidates first")
 
     ns, nt = g.n_src, g.n_trg
-    indptr = g.indptr
-    row_targets: list[list[int]] = [
-        g.targets[indptr[j]:indptr[j + 1]].tolist() for j in range(ns)
-    ]
-    row_costs: list[list[float]] = [
-        (-g.weights[indptr[j]:indptr[j + 1]]).tolist() for j in range(ns)
-    ]
+    bounds = g.indptr.tolist()
+    all_targets = g.targets.tolist()
+    all_costs = (-g.weights).tolist()
+    row_targets = [all_targets[bounds[j]:bounds[j + 1]] for j in range(ns)]
+    row_costs = [all_costs[bounds[j]:bounds[j + 1]] for j in range(ns)]
 
     n_cols = nt + ns  # col nt + j is the dummy column of source j
     v = [0.0] * n_cols
@@ -133,7 +131,10 @@ def solve_sparse_lap(g: CandidateGraph) -> Matching:
     match_col = [-1] * n_cols  # col -> row
     row_col = [-1] * ns  # row -> col
 
-    for j0 in range(ns):
+    # a source without edges can only take its own dummy column, which no
+    # other source reaches, so skipping it leaves the matching and duals as
+    # they would be
+    for j0 in np.flatnonzero(np.diff(g.indptr)).tolist():
         dummy0 = nt + j0
         u0 = -v[dummy0]
         for i, c in zip(row_targets[j0], row_costs[j0]):
@@ -197,15 +198,15 @@ def solve_sparse_lap(g: CandidateGraph) -> Matching:
                 break
             col = prev_col
 
-    pairs: list[tuple[int, int, float]] = []
-    for j in range(ns):
-        col = row_col[j]
-        if 0 <= col < nt:
-            w = g.weights[indptr[j]:indptr[j + 1]]
-            t = g.targets[indptr[j]:indptr[j + 1]]
-            pos = int(np.flatnonzero(t == col)[0])
-            pairs.append((col, j, float(w[pos])))
-    m = Matching.from_pairs(nt, ns, pairs)
+    # each matched source has exactly one edge to its column
+    edge_src = np.repeat(np.arange(ns), np.diff(g.indptr))
+    chosen = g.targets == np.array(row_col, dtype=np.int64)[edge_src]
+    m = Matching.from_pairs(
+        nt,
+        ns,
+        list(zip(g.targets[chosen].tolist(), edge_src[chosen].tolist(),
+                 g.weights[chosen].tolist())),
+    )
     m.assert_degrees(1, 1)
     return m
 

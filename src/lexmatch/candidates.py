@@ -22,8 +22,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from lexmatch.em import ModelParams
     from lexmatch.embeddings import EmbeddingMatrix
 
-# elements per weight block; bounds peak memory of a pass at ~160 MB
-_BLOCK_ELEMENTS = 20_000_000
+# scores per block of score_top_k; each of a block's temporaries (float64
+# scores, int64 partition indices) stays within 32 MB per thread
+BLOCK_ELEMENTS = 4_000_000
+
+# up to this k, k argmax passes over a block beat one argpartition
+_ARGMAX_MAX_K = 4
 
 
 @dataclass
@@ -116,38 +120,131 @@ def edge_weight(t: np.ndarray, s: np.ndarray, params: "ModelParams") -> float:
     return float(-0.5 * (diff @ diff - back @ back))
 
 
-def _topk_block(
-    scores: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact per-column top-k of a (n_trg, b) score block.
+def _select_rows(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact per-row top-k of a finite (b, n) score block, k <= n.
 
-    Returns (idx, val) of shape (k, b), each column sorted by descending
-    score with ties broken toward the lower target id, the same rule a
-    brute-force sort by (-score, id) would apply.
+    Rows come back by descending score with ties broken toward the lower
+    column id, the order a brute-force lexsort((ids, -score)) gives.  The
+    block may be overwritten.
     """
-    n, b = scores.shape
-    if k >= n:
-        idx = np.repeat(np.arange(n, dtype=np.int64)[:, None], b, axis=1)
-        val = scores.copy()
+    b, n = scores.shape
+    if k <= _ARGMAX_MAX_K:
+        # argmax returns the first maximum, the lowest id among equal scores;
+        # each pass knocks the column it took out of its row
+        rows = np.arange(b)
+        idx = np.empty((b, k), dtype=np.int64)
+        val = np.empty((b, k))
+        for j in range(k):
+            col = np.argmax(scores, axis=1)
+            idx[:, j] = col
+            val[:, j] = scores[rows, col]
+            scores[rows, col] = -np.inf
+        return idx, val
+    # one more than k where there is one, so a tie across the k-th slot shows
+    # as equal values
+    m = min(k + 1, n)
+    idx = np.argpartition(scores, n - m, axis=1)[:, n - m:]
+    val = np.take_along_axis(scores, idx, axis=1)
+    order = np.lexsort((idx, -val), axis=1)
+    idx = np.take_along_axis(idx, order, axis=1)
+    val = np.take_along_axis(val, order, axis=1)
+    if m > k:
+        # argpartition splits ties arbitrarily: where the (k+1)-th value equals
+        # the k-th, rank every column reaching it by (-score, id)
+        for r in np.flatnonzero(val[:, k] == val[:, k - 1]):
+            row = scores[r]
+            cand = np.flatnonzero(row >= val[r, k - 1])
+            cand = cand[np.lexsort((cand, -row[cand]))]
+            idx[r, :k] = cand[:k]
+            val[r, :k] = row[cand[:k]]
+    return idx[:, :k], val[:, :k]
+
+
+def score_top_k(
+    Q: np.ndarray,
+    C: np.ndarray,
+    k: int,
+    q_offset: np.ndarray | None = None,
+    c_offset: np.ndarray | None = None,
+    threads: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-k columns of C for every column of Q under a dot-product score.
+
+    The score of candidate c for query q is Q[:, q] . C[:, c] + c_offset[c];
+    q_offset[q] is added to the selected values afterwards.  Returns (idx,
+    val) of shape (n_q, min(k, n_c)), each row by descending score with ties
+    broken toward the lower candidate id.
+
+    Queries are scored in row-contiguous (queries, candidates) blocks of at
+    most BLOCK_ELEMENTS scores, so the selection runs along the contiguous
+    axis.  Blocks are fixed spans of query ids assembled in order, so the
+    result is the same for any thread count.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    nq, nc = Q.shape[1], C.shape[1]
+    kk = min(k, nc)
+    if nq == 0 or kk == 0:
+        return np.zeros((nq, kk), dtype=np.int64), np.zeros((nq, kk))
+    rows = max(1, BLOCK_ELEMENTS // nc)
+    spans = [(lo, min(lo + rows, nq)) for lo in range(0, nq, rows)]
+
+    def run_span(span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi = span
+        scores = Q[:, lo:hi].T @ C
+        if c_offset is not None:
+            scores += c_offset
+        idx, val = _select_rows(scores, kk)
+        if q_offset is not None:
+            val = val + q_offset[lo:hi, None]
+        return idx, val
+
+    if threads > 1 and len(spans) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(run_span, spans))
     else:
-        idx = np.argpartition(-scores, k - 1, axis=0)[:k].astype(np.int64)
-        val = np.take_along_axis(scores, idx, axis=0)
-        # argpartition splits boundary ties arbitrarily; repair columns where
-        # the k-th value also occurs outside the selected set
-        boundary = val.min(axis=0)
-        n_ge = (scores >= boundary[None, :]).sum(axis=0)
-        for col in np.flatnonzero(n_ge > k):
-            order = np.lexsort((np.arange(n), -scores[:, col]))[:k]
-            idx[:, col] = order
-            val[:, col] = scores[order, col]
-    # deterministic order: ascending id first, then stable sort by score
-    o = np.argsort(idx, axis=0, kind="stable")
-    idx = np.take_along_axis(idx, o, axis=0)
-    val = np.take_along_axis(val, o, axis=0)
-    o = np.argsort(-val, axis=0, kind="stable")
-    idx = np.take_along_axis(idx, o, axis=0)
-    val = np.take_along_axis(val, o, axis=0)
-    return idx, val
+        results = [run_span(sp) for sp in spans]
+    return (
+        np.concatenate([r[0] for r in results]),
+        np.concatenate([r[1] for r in results]),
+    )
+
+
+def weight_terms(
+    S: "EmbeddingMatrix",
+    T: "EmbeddingMatrix",
+    params: "ModelParams",
+    restrict: tuple[int, int] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The edge weight as a dot product plus per-side offsets.
+
+    Returns (mapped, targets, src_offset, trg_offset) over the frequency
+    prefixes restrict=(n_src_top, n_trg_top) selects (everything when None),
+    from the expansion
+
+        w_ij = t_i . Omega s_j  - 1/2 ||t_i||^2 + 1/2 ||t_i - mu||^2 - 1/2 ||s_j||^2
+
+    (using ||Omega s|| = ||s||), which agrees with edge_weight to float64
+    rounding: mapped[:, j] = Omega s_j and the offsets hold the last three terms.
+    """
+    if S.dim != T.dim:
+        raise ValueError(f"dimension mismatch: source {S.dim}, target {T.dim}")
+    ns, nt = S.n_words, T.n_words
+    if restrict is not None:
+        ns, nt = restrict
+        if not (1 <= ns <= S.n_words and 1 <= nt <= T.n_words):
+            raise ValueError(
+                f"restriction ({ns}, {nt}) exceeds vocabulary sizes "
+                f"({S.n_words}, {T.n_words})"
+            )
+    Ssub = S.data[:, :ns]
+    Tsub = T.data[:, :nt]
+    back = Tsub - params.mu[:, None]
+    trg_offset = -0.5 * np.einsum("ij,ij->j", Tsub, Tsub) + 0.5 * np.einsum(
+        "ij,ij->j", back, back
+    )
+    src_offset = -0.5 * np.einsum("ij,ij->j", Ssub, Ssub)
+    return params.omega @ Ssub, Tsub, src_offset, trg_offset
 
 
 def build_candidates(
@@ -162,69 +259,16 @@ def build_candidates(
 
     restrict=(n_src_top, n_trg_top) limits both sides to their frequency
     prefix; sources outside it get empty candidate lists and targets outside
-    it never appear.  The blocked pass expands the weight as
-
-        w_ij = t_i . Omega s_j  - 1/2 ||t_i||^2 + 1/2 ||t_i - mu||^2 - 1/2 ||s_j||^2
-
-    (using ||Omega s|| = ||s||), one matrix product per block; agrees with
-    edge_weight to float64 rounding.  Deterministic for any thread count:
-    blocks are fixed spans of source ids and results are assembled in order.
+    it never appear.  Sources are the queries of score_top_k over the
+    weight_terms expansion, so the result is the same for any thread count.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if S.dim != T.dim:
-        raise ValueError(f"dimension mismatch: source {S.dim}, target {T.dim}")
-    ns_full, nt_full = S.n_words, T.n_words
-    if restrict is None:
-        ns, nt = ns_full, nt_full
-    else:
-        ns, nt = restrict
-        if not (1 <= ns <= ns_full and 1 <= nt <= nt_full):
-            raise ValueError(
-                f"restriction ({ns}, {nt}) exceeds vocabulary sizes ({ns_full}, {nt_full})"
-            )
-
-    Ssub = S.data[:, :ns]
-    Tsub = T.data[:, :nt]
-    mapped = params.omega @ Ssub  # (d, ns)
-    t_sq = np.einsum("ij,ij->j", Tsub, Tsub)
-    back = Tsub - params.mu[:, None]
-    trg_offset = -0.5 * t_sq + 0.5 * np.einsum("ij,ij->j", back, back)  # (nt,)
-    src_offset = -0.5 * np.einsum("ij,ij->j", Ssub, Ssub)  # (ns,)
-
-    kk = min(k, nt)
-    block = max(1, min(ns, _BLOCK_ELEMENTS // max(nt, 1)))
-    spans = [(lo, min(lo + block, ns)) for lo in range(0, ns, block)]
-
-    def run_span(span: tuple[int, int]):
-        lo, hi = span
-        scores = Tsub.T @ mapped[:, lo:hi]
-        scores += trg_offset[:, None]
-        idx, val = _topk_block(scores, kk)
-        w = val + src_offset[None, lo:hi]
-        keep = w >= 0.0
-        counts = keep.sum(axis=0).astype(np.int64)
-        return counts, idx.T[keep.T], w.T[keep.T]
-
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_span, spans))
-    else:
-        results = [run_span(sp) for sp in spans]
-
-    counts = np.concatenate([r[0] for r in results]) if results else np.zeros(0, np.int64)
-    if ns < ns_full:
-        counts = np.concatenate([counts, np.zeros(ns_full - ns, np.int64)])
-    indptr = np.zeros(ns_full + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    targets = (
-        np.concatenate([r[1] for r in results])
-        if results
-        else np.zeros(0, np.int64)
+    mapped, Tsub, src_offset, trg_offset = weight_terms(S, T, params, restrict)
+    ns = mapped.shape[1]
+    idx, w = score_top_k(
+        mapped, Tsub, k, q_offset=src_offset, c_offset=trg_offset, threads=threads
     )
-    weights = (
-        np.concatenate([r[2] for r in results])
-        if results
-        else np.zeros(0, np.float64)
-    )
-    return CandidateGraph(ns_full, nt_full, indptr, targets, weights)
+    keep = w >= 0.0
+    indptr = np.zeros(S.n_words + 1, dtype=np.int64)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:ns + 1])
+    indptr[ns + 1:] = indptr[ns]
+    return CandidateGraph(S.n_words, T.n_words, indptr, idx[keep], w[keep])

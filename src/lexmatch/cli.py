@@ -295,11 +295,13 @@ def cmd_query(args) -> int:
         words.extend(line.strip() for line in sys.stdin if line.strip())
     if not words:
         raise ValueError("no query words given (use --word or --stdin)")
+    known = [lex_src.id(w) for w in words if w in lex_src]
+    neighbors = iter(topn_neighbors(params, S, T, known, args.topn))
     for w in words:
         if w not in lex_src:
             print(f"{w}\tOOV")
             continue
-        for i, cos in topn_neighbors(params, S, T, lex_src.id(w), args.topn):
+        for i, cos in next(neighbors):
             print(f"{w}\t{lex_trg.word(i)}\t{cos:.6f}")
     return 0
 

@@ -25,7 +25,12 @@ from typing import Callable
 import numpy as np
 
 from lexmatch.assignment import Matching, solve_sparse_lap
-from lexmatch.candidates import CandidateGraph, build_candidates
+from lexmatch.candidates import (
+    CandidateGraph,
+    build_candidates,
+    score_top_k,
+    weight_terms,
+)
 from lexmatch.embeddings import NORM_UNIT, NORMALIZATION_SCHEMES, EmbeddingMatrix
 from lexmatch.seeds import SeedDictionary
 
@@ -275,38 +280,22 @@ def e_step_matching(
 def e_step_one_to_many(
     S: EmbeddingMatrix, T: EmbeddingMatrix, params: ModelParams, config: EmConfig
 ) -> Alignment:
-    """Independent best source per target; unaligned where every weight < 0."""
-    ns_full, nt_full = S.n_words, T.n_words
-    if config.rank_restrict is None:
-        ns, nt = ns_full, nt_full
-    else:
-        ns, nt = config.rank_restrict
-        if not (1 <= ns <= ns_full and 1 <= nt <= nt_full):
-            raise ValueError(
-                f"restriction ({ns}, {nt}) exceeds vocabulary sizes ({ns_full}, {nt_full})"
-            )
-    Ssub = S.data[:, :ns]
-    Tsub = T.data[:, :nt]
-    mapped = params.omega @ Ssub
-    src_offset = -0.5 * np.einsum("ij,ij->j", Ssub, Ssub)
-    back = Tsub - params.mu[:, None]
-    trg_offset = -0.5 * np.einsum("ij,ij->j", Tsub, Tsub) + 0.5 * np.einsum(
-        "ij,ij->j", back, back
-    )
+    """Independent best source per target; unaligned where every weight < 0.
 
-    a = np.full(nt_full, UNALIGNED, dtype=np.int64)
-    wbest = np.zeros(nt_full, dtype=np.float64)
-    block = max(1, min(nt, 20_000_000 // max(ns, 1)))
-    for lo in range(0, nt, block):
-        hi = min(lo + block, nt)
-        scores = mapped.T @ Tsub[:, lo:hi]
-        scores += src_offset[:, None]
-        best = np.argmax(scores, axis=0)  # first max: ties to lower source id
-        w = scores[best, np.arange(hi - lo)] + trg_offset[lo:hi]
-        keep = w >= 0.0
-        a[lo:hi][keep] = best[keep]
-        wbest[lo:hi][keep] = w[keep]
-    return Alignment(a, ns_full, wbest)
+    The candidate scoring with the roles swapped: targets are the queries,
+    sources the candidates, k = 1, so ties go to the lower source id.
+    """
+    mapped, Tsub, src_offset, trg_offset = weight_terms(S, T, params, config.rank_restrict)
+    best, w = score_top_k(
+        Tsub, mapped, 1, q_offset=trg_offset, c_offset=src_offset, threads=config.threads
+    )
+    nt = Tsub.shape[1]
+    keep = w[:, 0] >= 0.0
+    a = np.full(T.n_words, UNALIGNED, dtype=np.int64)
+    wbest = np.zeros(T.n_words, dtype=np.float64)
+    a[:nt][keep] = best[keep, 0]
+    wbest[:nt][keep] = w[keep, 0]
+    return Alignment(a, S.n_words, wbest)
 
 
 def m_step(

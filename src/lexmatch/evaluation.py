@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import spearmanr
 
-from lexmatch.candidates import _topk_block
+from lexmatch.candidates import score_top_k
 from lexmatch.em import ModelParams
 from lexmatch.embeddings import EmbeddingMatrix, Lexicon
 
@@ -65,48 +65,47 @@ def _mapped_unit_queries(
     return _unit_cols(q)
 
 
+def _source_ids(S: EmbeddingMatrix, src_indices) -> np.ndarray:
+    idx = np.asarray(src_indices, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= S.n_words):
+        raise IndexError(f"source index out of range [0, {S.n_words})")
+    return idx
+
+
+def _top_cosines(
+    params: ModelParams, S: EmbeddingMatrix, T: EmbeddingMatrix, idx: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(target ids, cosines) of the k nearest targets per source id in idx."""
+    q = _mapped_unit_queries(params, S, idx)
+    return score_top_k(q, _unit_cols(T.data), k)
+
+
 def translate_batch(
     params: ModelParams, S: EmbeddingMatrix, T: EmbeddingMatrix, src_indices
 ) -> np.ndarray:
     """Cosine-nearest target id per source id; ties go to the lower target id."""
-    idx = np.asarray(src_indices, dtype=np.int64)
+    idx = _source_ids(S, src_indices)
     if idx.size == 0:
         return np.zeros(0, dtype=np.int64)
-    if idx.min() < 0 or idx.max() >= S.n_words:
-        raise IndexError(f"source index out of range [0, {S.n_words})")
-    t_unit = _unit_cols(T.data)
-    out = np.empty(idx.size, dtype=np.int64)
-    block = max(1, 20_000_000 // max(T.n_words, 1))
-    for lo in range(0, idx.size, block):
-        hi = min(lo + block, idx.size)
-        q = _mapped_unit_queries(params, S, idx[lo:hi])
-        cos = t_unit.T @ q  # (n_trg, b)
-        out[lo:hi] = np.argmax(cos, axis=0)  # first max = lower target id
-    return out
-
-
-def translate_top1(
-    params: ModelParams, S: EmbeddingMatrix, T: EmbeddingMatrix, src_index: int
-) -> int:
-    """Brute-force cosine scan over all targets for one source id."""
-    return int(translate_batch(params, S, T, [src_index])[0])
+    return _top_cosines(params, S, T, idx, 1)[0][:, 0]
 
 
 def topn_neighbors(
     params: ModelParams,
     S: EmbeddingMatrix,
     T: EmbeddingMatrix,
-    src_index: int,
+    src_indices,
     n: int,
-) -> list[tuple[int, float]]:
-    """Top-n (target id, cosine) for one source, ranked with lower-id tie-breaks."""
+) -> list[list[tuple[int, float]]]:
+    """Top-n (target id, cosine) per source id, ranked with lower-id tie-breaks."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    t_unit = _unit_cols(T.data)
-    q = _mapped_unit_queries(params, S, np.array([src_index], dtype=np.int64))
-    cos = (t_unit.T @ q)[:, 0]
-    order = np.lexsort((np.arange(cos.size), -cos))[: min(n, cos.size)]
-    return [(int(i), float(cos[i])) for i in order]
+    idx = _source_ids(S, src_indices)
+    nn_idx, cos = _top_cosines(params, S, T, idx, n)
+    return [
+        [(int(i), float(c)) for i, c in zip(row_i, row_c)]
+        for row_i, row_c in zip(nn_idx.tolist(), cos.tolist())
+    ]
 
 
 def precision_at_1(
@@ -211,23 +210,13 @@ def hubness(
     Neighbor sets use cosine in the mapped space with ties broken toward
     the lower target id, the same rule as candidate construction.
     """
-    idx = np.asarray(queries, dtype=np.int64)
+    idx = _source_ids(S, queries)
     if idx.size == 0:
         raise ValueError("empty query set")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > T.n_words:
         raise ValueError(f"k = {k} exceeds target vocabulary size {T.n_words}")
-    if idx.min() < 0 or idx.max() >= S.n_words:
-        raise IndexError(f"query index out of range [0, {S.n_words})")
-
-    t_unit = _unit_cols(T.data)
-    counts = np.zeros(T.n_words, dtype=np.int64)
-    block = max(1, 20_000_000 // max(T.n_words, 1))
-    for lo in range(0, idx.size, block):
-        hi = min(lo + block, idx.size)
-        q = _mapped_unit_queries(params, S, idx[lo:hi])
-        cos = t_unit.T @ q
-        nn_idx, _ = _topk_block(cos, k)
-        counts += np.bincount(nn_idx.ravel(), minlength=T.n_words)
+    nn_idx, _ = _top_cosines(params, S, T, idx, k)
+    counts = np.bincount(nn_idx.ravel(), minlength=T.n_words)
     return HubnessReport(counts, k, int(idx.size))

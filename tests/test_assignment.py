@@ -136,6 +136,39 @@ class TestSolveSparseLap:
         assert fast.total_weight == slow.total_weight
         assert fast.edges == slow.edges
 
+    @settings(deadline=None, max_examples=80)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 6))
+    def test_edgeless_sources_change_nothing(self, seed, pad):
+        """Sources without edges, inserted anywhere, leave the matching bit-equal.
+
+        Square dense instances must also still agree with the dense oracle.
+        """
+        rng = np.random.default_rng(seed)
+        if rng.integers(2):
+            n = int(rng.integers(1, 9))
+            W = rng.uniform(0.01, 1.0, size=(n, n))
+            g = graph_from_dense(W)
+        else:
+            W = None
+            n_src = int(rng.integers(1, 9))
+            n_trg = int(rng.integers(1, 9))
+            n_edges = int(rng.integers(0, n_src * n_trg + 1))
+            g = random_sparse_graph(n_src, n_trg, n_edges, rng)
+        new_id = np.sort(rng.choice(g.n_src + pad, size=g.n_src, replace=False))
+        lists = [[] for _ in range(g.n_src + pad)]
+        for j in range(g.n_src):
+            t, w = g.edges_of(j)
+            lists[new_id[j]] = list(zip(t.tolist(), w.tolist()))
+        padded = CandidateGraph.from_lists(g.n_src + pad, g.n_trg, lists)
+        m = solve_sparse_lap(g)
+        mp = solve_sparse_lap(padded)
+        assert mp.edges == [(i, int(new_id[j])) for i, j in m.edges]
+        assert mp.edge_weights == m.edge_weights
+        assert mp.total_weight == m.total_weight
+        if W is not None:
+            oracle = hungarian_dense(W)
+            assert mp.total_weight == pytest.approx(oracle.total_weight, abs=1e-9)
+
 
 class TestBruteForce:
     def test_two_by_two(self):

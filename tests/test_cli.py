@@ -313,6 +313,19 @@ class TestQuery:
         assert lines[0] == "zzz\tOOV"
         assert len(lines) == 2
 
+    def test_batch_prints_single_queries_in_order(self, planted, model, capsys):
+        """Several words print what one query per word prints, OOV lines in place."""
+        src = planted["src_words"]
+        words = [src[5], "zzz", src[2], src[5]]
+        expected = []
+        for w in words:
+            assert main(self.base_args(planted, model) + ["--word", w, "--topn", "3"]) == 0
+            expected += capsys.readouterr().out.splitlines()
+        batch = [a for w in words for a in ("--word", w)]
+        assert main(self.base_args(planted, model) + batch + ["--topn", "3"]) == 0
+        assert capsys.readouterr().out.splitlines() == expected
+        assert len(expected) == 10
+
     def test_stdin_queries(self, planted, model, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(planted["src_words"][3] + "\n"))
         rc = main(self.base_args(planted, model) + ["--stdin", "--topn", "1"])

@@ -73,7 +73,7 @@ class TestTranslate:
         """Neighbors come back by descending cosine, ties to lower ids."""
         S = EmbeddingMatrix(2, np.array([[1.0], [0.0]]))
         T = angled_targets([0.2, 0.9, 0.5, 0.9])
-        out = topn_neighbors(IDENT2, S, T, 0, 3)
+        [out] = topn_neighbors(IDENT2, S, T, [0], 3)
         assert [i for i, _ in out] == [1, 3, 2]
         assert out[0][1] == pytest.approx(0.9)
 
