@@ -16,7 +16,6 @@ from lexmatch.assignment import (
     solve_sparse_lap,
 )
 from lexmatch.em import (
-    Alignment,
     EmCollapseError,
     EmConfig,
     EmTrace,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -23,65 +23,57 @@ from scipy.optimize import linear_sum_assignment
 from lexmatch.candidates import CandidateGraph
 
 
-@dataclass
+@dataclass(eq=False)
 class Matching:
-    """Edge set between targets and sources with at most one edge per vertex.
+    """Pair set between targets and sources; the result of every E-step.
 
-    Edges are (target, source) pairs sorted by target id; total_weight is
-    an order-independent sum (math.fsum over the sorted edges) so equal
-    edge sets always report bit-equal totals.  Prior variants relax the
-    degree bound; assert_degrees makes the bound in force explicit.
+    trg, src and weight are parallel arrays, sorted here by (target,
+    source).  total_weight is math.fsum over the weights, so equal pair
+    sets always report bit-equal totals.  Each prior bounds vertex degrees
+    differently; assert_degrees makes the bound in force explicit.
     """
 
     n_trg: int
     n_src: int
-    edges: list[tuple[int, int]]
-    total_weight: float
-    edge_weights: list[float] | None = None
+    trg: np.ndarray
+    src: np.ndarray
+    weight: np.ndarray
+    total_weight: float = field(init=False)
 
-    @classmethod
-    def from_pairs(
-        cls, n_trg: int, n_src: int, pairs: list[tuple[int, int, float]]
-    ) -> "Matching":
-        """Build from (target, source, weight) triples."""
-        pairs = sorted(pairs)
-        edges = [(i, j) for i, j, _ in pairs]
-        weights = [w for _, _, w in pairs]
-        total = math.fsum(weights)
-        return cls(n_trg, n_src, edges, total, weights)
+    def __post_init__(self) -> None:
+        trg = np.asarray(self.trg, dtype=np.int64)
+        src = np.asarray(self.src, dtype=np.int64)
+        weight = np.asarray(self.weight, dtype=np.float64)
+        if trg.ndim != 1 or trg.shape != src.shape or trg.shape != weight.shape:
+            raise ValueError(
+                f"pair arrays differ in shape: {trg.shape}, {src.shape}, {weight.shape}"
+            )
+        order = np.lexsort((src, trg))
+        self.trg, self.src, self.weight = trg[order], src[order], weight[order]
+        self.total_weight = math.fsum(self.weight.tolist())
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return self.trg.size
 
-    def assert_degrees(self, trg_cap: int = 1, src_cap: int = 1) -> None:
-        trg_deg: dict[int, int] = {}
-        src_deg: dict[int, int] = {}
-        for i, j in self.edges:
-            if not (0 <= i < self.n_trg and 0 <= j < self.n_src):
-                raise ValueError(f"edge ({i}, {j}) out of range")
-            trg_deg[i] = trg_deg.get(i, 0) + 1
-            src_deg[j] = src_deg.get(j, 0) + 1
-            if trg_deg[i] > trg_cap:
-                raise ValueError(f"target {i} exceeds degree cap {trg_cap}")
-            if src_deg[j] > src_cap:
-                raise ValueError(f"source {j} exceeds degree cap {src_cap}")
+    def assert_degrees(self, trg_cap: int | None = 1, src_cap: int | None = 1) -> None:
+        """Raise ValueError for an id out of range or a vertex over its cap.
 
-    def matched_targets(self) -> set[int]:
-        return {i for i, _ in self.edges}
-
-    def matched_sources(self) -> set[int]:
-        return {j for _, j in self.edges}
+        A cap of None leaves that side's degrees unbounded.
+        """
+        for side, ids, n, cap in (
+            ("target", self.trg, self.n_trg, trg_cap),
+            ("source", self.src, self.n_src, src_cap),
+        ):
+            if ids.size and (ids.min() < 0 or ids.max() >= n):
+                raise ValueError(f"{side} id out of range [0, {n})")
+            if cap is not None:
+                over = np.flatnonzero(np.bincount(ids, minlength=n) > cap)
+                if over.size:
+                    raise ValueError(f"{side} {over[0]} exceeds degree cap {cap}")
 
     def unmatched_targets(self) -> np.ndarray:
         mask = np.ones(self.n_trg, dtype=bool)
-        for i, _ in self.edges:
-            mask[i] = False
-        return np.flatnonzero(mask)
-
-    def unmatched_sources(self) -> np.ndarray:
-        mask = np.ones(self.n_src, dtype=bool)
-        for _, j in self.edges:
-            mask[j] = False
+        mask[self.trg] = False
         return np.flatnonzero(mask)
 
 
@@ -96,10 +88,7 @@ def hungarian_dense(weights: np.ndarray) -> Matching:
     if not np.all(np.isfinite(w)):
         raise ValueError("weight matrix contains non-finite entries")
     rows, cols = linear_sum_assignment(w, maximize=True)
-    n = w.shape[0]
-    m = Matching.from_pairs(
-        n, n, [(int(i), int(j), float(w[i, j])) for i, j in zip(rows, cols)]
-    )
+    m = Matching(w.shape[0], w.shape[0], rows, cols, w[rows, cols])
     m.assert_degrees(1, 1)
     return m
 
@@ -201,12 +190,7 @@ def solve_sparse_lap(g: CandidateGraph) -> Matching:
     # each matched source has exactly one edge to its column
     edge_src = np.repeat(np.arange(ns), np.diff(g.indptr))
     chosen = g.targets == np.array(row_col, dtype=np.int64)[edge_src]
-    m = Matching.from_pairs(
-        nt,
-        ns,
-        list(zip(g.targets[chosen].tolist(), edge_src[chosen].tolist(),
-                 g.weights[chosen].tolist())),
-    )
+    m = Matching(nt, ns, g.targets[chosen], edge_src[chosen], g.weights[chosen])
     m.assert_degrees(1, 1)
     return m
 
@@ -242,6 +226,7 @@ def brute_force_matching(g: CandidateGraph) -> Matching:
             chosen.pop()
 
     recurse(0, 0, 0.0, [])
-    m = Matching.from_pairs(g.n_trg, g.n_src, best_pairs)
+    trg, src, weight = zip(*best_pairs) if best_pairs else ((), (), ())
+    m = Matching(g.n_trg, g.n_src, trg, src, weight)
     m.assert_degrees(1, 1)
     return m

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -70,13 +70,6 @@ class CandidateGraph:
     def edges_of(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self.indptr[j], self.indptr[j + 1]
         return self.targets[lo:hi], self.weights[lo:hi]
-
-    def iter_edges(self) -> Iterator[tuple[int, int, float]]:
-        """Yield (target, source, weight) triples."""
-        for j in range(self.n_src):
-            lo, hi = self.indptr[j], self.indptr[j + 1]
-            for e in range(lo, hi):
-                yield int(self.targets[e]), j, float(self.weights[e])
 
     def validate(self) -> None:
         if self.indptr.shape != (self.n_src + 1,) or self.indptr[0] != 0:

@@ -9,8 +9,6 @@ import sys
 import time
 
 from lexmatch.em import (
-    Alignment,
-    DEFAULT_RANK_RESTRICT,
     EmConfig,
     PRIOR_ONE_TO_MANY,
     PRIOR_ONE_TO_ONE,
@@ -75,8 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_positive_int, default=3,
                    help="candidate targets kept per source (default 3)")
     p.add_argument("--rank-restrict", type=_positive_int, default=None, metavar="N",
-                   help=f"restrict matching to the top-N words per side "
-                        f"(default when enabled: {DEFAULT_RANK_RESTRICT[0]})")
+                   help="restrict matching to the top-N words per side")
     p.add_argument("--vocab-size", type=_positive_int, default=None,
                    help="load only the most frequent N words per language")
     p.add_argument("--normalize", choices=NORMALIZATION_SCHEMES, default=NORM_UNIT)
@@ -87,8 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--eps", type=float, default=1e-6, help="mean-cosine convergence threshold")
     p.add_argument("--threads", type=_positive_int, default=1)
-    p.add_argument("--seed-rng", type=int, default=0,
-                   help="RNG seed recorded in the report (the trainer itself is deterministic)")
     p.add_argument("--pin-seed", action="store_true",
                    help="force seed pairs into every E-step result")
     p.add_argument("--drop-zero", action="store_true",
@@ -158,22 +153,13 @@ def cmd_induce(args) -> int:
         convergence_eps=args.eps,
         max_iters=args.max_iters,
         prior=_PRIOR_FLAG[args.prior],
-        normalization=args.normalize,
         pin_seed=args.pin_seed,
         threads=args.threads,
     )
     params, result, trace = run_em(S, T, seed, config)
     t_trained = time.perf_counter()
 
-    if isinstance(result, Alignment):
-        rows = [
-            (int(j), int(i), float(result.weights[i]))
-            for i, j in result.pairs()
-        ]
-    else:
-        weights = result.edge_weights or [0.0] * len(result.edges)
-        rows = [(int(j), int(i), float(w)) for (i, j), w in zip(result.edges, weights)]
-    rows.sort()
+    rows = sorted(zip(result.src.tolist(), result.trg.tolist(), result.weight.tolist()))
     with open(args.out_dict, "w", encoding="utf-8") as fh:
         for j, i, w in rows:
             fh.write(f"{lex_src.word(j)}\t{lex_trg.word(i)}\t{w:.6f}\n")
@@ -196,13 +182,12 @@ def cmd_induce(args) -> int:
             "convergence_eps": config.convergence_eps,
             "max_iters": config.max_iters,
             "prior": config.prior,
-            "normalization": config.normalization,
+            "normalization": args.normalize,
             "min_iters": config.min_iters,
             "update_mu": config.update_mu,
             "pin_seed": config.pin_seed,
             "threads": config.threads,
         },
-        "seed_rng": args.seed_rng,
         "seed_dictionary": {
             "provenance": seed.provenance,
             "pairs": len(seed),

@@ -11,14 +11,14 @@ bipartite matching between the two vocabularies; training alternates
 
 A one-to-many mode replaces the matching by an independent argmax per
 target (sources may repeat), which is the standard self-training baseline
-expressed in the same parameterization.  1:2 / 2:2 priors are realized by
-duplicating vertices before solving and merging copies afterwards.
+expressed in the same parameterization: the same pair set under a
+different prior.  1:2 / 2:2 priors are realized by duplicating vertices
+before solving and merging copies afterwards.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -28,10 +28,11 @@ from lexmatch.assignment import Matching, solve_sparse_lap
 from lexmatch.candidates import (
     CandidateGraph,
     build_candidates,
+    edge_weight,
     score_top_k,
     weight_terms,
 )
-from lexmatch.embeddings import NORM_UNIT, NORMALIZATION_SCHEMES, EmbeddingMatrix
+from lexmatch.embeddings import NORMALIZATION_SCHEMES, EmbeddingMatrix
 from lexmatch.seeds import SeedDictionary
 
 logger = logging.getLogger(__name__)
@@ -40,17 +41,14 @@ PRIOR_ONE_TO_ONE = "one_to_one"
 PRIOR_ONE_TO_TWO = "one_to_two"
 PRIOR_TWO_TO_TWO = "two_to_two"
 PRIOR_ONE_TO_MANY = "one_to_many"
-PRIOR_KINDS = (
-    PRIOR_ONE_TO_ONE,
-    PRIOR_ONE_TO_TWO,
-    PRIOR_TWO_TO_TWO,
-    PRIOR_ONE_TO_MANY,
-)
 
-# frequency-prefix cap on E-step matching when rank restriction is on
-DEFAULT_RANK_RESTRICT = (40_000, 40_000)
-
-UNALIGNED = -1
+# (target, source) degree caps of each prior's pair sets; None: uncapped
+PRIOR_CAPS = {
+    PRIOR_ONE_TO_ONE: (1, 1),
+    PRIOR_ONE_TO_TWO: (1, 2),
+    PRIOR_TWO_TO_TWO: (2, 2),
+    PRIOR_ONE_TO_MANY: (1, None),
+}
 
 
 class EmCollapseError(RuntimeError):
@@ -86,35 +84,6 @@ class ModelParams:
 
 
 @dataclass
-class Alignment:
-    """One-to-many result: for each target, its source id or UNALIGNED (-1).
-
-    weights[i] is the edge weight of target i's link (0.0 where unaligned);
-    sources may repeat, targets cannot.
-    """
-
-    source_for_target: np.ndarray
-    n_src: int
-    weights: np.ndarray
-
-    def pairs(self) -> list[tuple[int, int]]:
-        """(target, source) pairs, target-ascending."""
-        idx = np.flatnonzero(self.source_for_target != UNALIGNED)
-        return [(int(i), int(self.source_for_target[i])) for i in idx]
-
-    def unaligned_targets(self) -> np.ndarray:
-        return np.flatnonzero(self.source_for_target == UNALIGNED)
-
-    @property
-    def total_weight(self) -> float:
-        idx = np.flatnonzero(self.source_for_target != UNALIGNED)
-        return math.fsum(float(self.weights[i]) for i in idx)
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self.source_for_target != UNALIGNED))
-
-
-@dataclass
 class EmConfig:
     """Training configuration; defaults follow the standard recipe."""
 
@@ -123,7 +92,6 @@ class EmConfig:
     convergence_eps: float = 1e-6
     max_iters: int = 500
     prior: str = PRIOR_ONE_TO_ONE
-    normalization: str = NORM_UNIT
     min_iters: int = 1
     update_mu: bool = True
     pin_seed: bool = False
@@ -138,10 +106,8 @@ class EmConfig:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if self.min_iters < 1:
             raise ValueError(f"min_iters must be >= 1, got {self.min_iters}")
-        if self.prior not in PRIOR_KINDS:
-            raise ValueError(f"unknown prior {self.prior!r}, expected one of {PRIOR_KINDS}")
-        if self.normalization not in NORMALIZATION_SCHEMES:
-            raise ValueError(f"unknown normalization {self.normalization!r}")
+        if self.prior not in PRIOR_CAPS:
+            raise ValueError(f"unknown prior {self.prior!r}, expected one of {tuple(PRIOR_CAPS)}")
         if self.rank_restrict is not None:
             a, b = self.rank_restrict
             if a < 1 or b < 1:
@@ -203,63 +169,40 @@ def duplicate_and_merge(
 
     Returns the expanded graph (copies carry identical edge weights) and a
     merge function mapping a matching on it back to original ids, dropping
-    duplicated (target, source) pairs.  Merged results satisfy degree caps
-    (1, 2) for one_to_two and (2, 2) for two_to_two.
+    duplicated (target, source) pairs.  Merged results satisfy the prior's
+    PRIOR_CAPS.
+
+    Source copy ns + j repeats row j.  Under 2:2 every row first lists its
+    own edges and then the same edges to the target copies (target + nt),
+    in the original order, which the solver's tie-breaks follow.
     """
     if prior not in (PRIOR_ONE_TO_TWO, PRIOR_TWO_TO_TWO):
         raise ValueError(f"duplicate_and_merge applies to 1:2/2:2 priors, got {prior!r}")
     ns, nt = g.n_src, g.n_trg
-    n_edges = g.n_edges
-    both = prior == PRIOR_TWO_TO_TWO
-
-    if both:
-        # each source copy sees both target copies: 4 edges per original
-        per_src_counts = np.diff(g.indptr) * 2
-        counts = np.concatenate([per_src_counts, per_src_counts])
-        targets = np.empty(4 * n_edges, dtype=np.int64)
-        weights = np.empty(4 * n_edges, dtype=np.float64)
-        pos = 0
-        for copy in range(2):
-            for j in range(ns):
-                t, w = g.edges_of(j)
-                m = t.size
-                targets[pos:pos + m] = t
-                weights[pos:pos + m] = w
-                targets[pos + m:pos + 2 * m] = t + nt
-                weights[pos + m:pos + 2 * m] = w
-                pos += 2 * m
-        indptr = np.zeros(2 * ns + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        expanded = CandidateGraph(2 * ns, 2 * nt, indptr, targets, weights)
-        caps = (2, 2)
-    else:
-        indptr = np.concatenate([g.indptr, g.indptr[1:] + n_edges])
-        targets = np.concatenate([g.targets, g.targets])
-        weights = np.concatenate([g.weights, g.weights])
-        expanded = CandidateGraph(2 * ns, nt, indptr, targets, weights)
-        caps = (1, 2)
+    indptr, targets, weights, n_trg = g.indptr, g.targets, g.weights, nt
+    if prior == PRIOR_TWO_TO_TWO:
+        # a stable sort by row puts each row's edges before their copies
+        rows = np.repeat(np.arange(ns), np.diff(indptr))
+        order = np.argsort(np.concatenate([rows, rows]), kind="stable")
+        targets = np.concatenate([targets, targets + nt])[order]
+        weights = np.concatenate([weights, weights])[order]
+        indptr, n_trg = 2 * indptr, 2 * nt
+    expanded = CandidateGraph(
+        2 * ns,
+        n_trg,
+        np.concatenate([indptr, indptr[1:] + targets.size]),
+        np.concatenate([targets, targets]),
+        np.concatenate([weights, weights]),
+    )
 
     def merge(m: Matching) -> Matching:
-        seen: dict[tuple[int, int], float] = {}
-        for i, j in m.edges:
-            oi, oj = i % nt, j % ns
-            if (oi, oj) not in seen:
-                seen[(oi, oj)] = _matching_edge_weight(expanded, i, j)
-        merged = Matching.from_pairs(
-            nt, ns, [(i, j, w) for (i, j), w in seen.items()]
-        )
-        merged.assert_degrees(*caps)
+        # copies of one original pair carry its weight, so any copy's will do
+        key, first = np.unique((m.trg % nt) * ns + m.src % ns, return_index=True)
+        merged = Matching(nt, ns, key // ns, key % ns, m.weight[first])
+        merged.assert_degrees(*PRIOR_CAPS[prior])
         return merged
 
     return expanded, merge
-
-
-def _matching_edge_weight(g: CandidateGraph, i: int, j: int) -> float:
-    t, w = g.edges_of(j)
-    pos = np.flatnonzero(t == i)
-    if pos.size == 0:
-        raise ValueError(f"edge ({i}, {j}) not present in graph")
-    return float(w[pos[0]])
 
 
 def e_step_matching(
@@ -279,8 +222,8 @@ def e_step_matching(
 
 def e_step_one_to_many(
     S: EmbeddingMatrix, T: EmbeddingMatrix, params: ModelParams, config: EmConfig
-) -> Alignment:
-    """Independent best source per target; unaligned where every weight < 0.
+) -> Matching:
+    """Independent best source per target; unmatched where every weight < 0.
 
     The candidate scoring with the roles swapped: targets are the queries,
     sources the candidates, k = 1, so ties go to the lower source id.
@@ -289,19 +232,14 @@ def e_step_one_to_many(
     best, w = score_top_k(
         Tsub, mapped, 1, q_offset=trg_offset, c_offset=src_offset, threads=config.threads
     )
-    nt = Tsub.shape[1]
-    keep = w[:, 0] >= 0.0
-    a = np.full(T.n_words, UNALIGNED, dtype=np.int64)
-    wbest = np.zeros(T.n_words, dtype=np.float64)
-    a[:nt][keep] = best[keep, 0]
-    wbest[:nt][keep] = w[keep, 0]
-    return Alignment(a, S.n_words, wbest)
+    keep = np.flatnonzero(w[:, 0] >= 0.0)
+    return Matching(T.n_words, S.n_words, keep, best[keep, 0], w[keep, 0])
 
 
 def m_step(
     S: EmbeddingMatrix,
     T: EmbeddingMatrix,
-    assignment: Matching | Alignment,
+    matching: Matching,
     prev: ModelParams,
     update_mu: bool = True,
 ) -> ModelParams:
@@ -312,19 +250,11 @@ def m_step(
     left unmatched, kept at prev.mu when nothing is unmatched or when
     update_mu is off.
     """
-    if isinstance(assignment, Alignment):
-        pair_list = assignment.pairs()
-        unmatched = assignment.unaligned_targets()
-    else:
-        pair_list = list(assignment.edges)
-        unmatched = assignment.unmatched_targets()
-    if not pair_list:
+    if not len(matching):
         raise EmCollapseError("M-step received an empty pair set; training collapsed")
-    trg_idx = np.array([i for i, _ in pair_list], dtype=np.int64)
-    src_idx = np.array([j for _, j in pair_list], dtype=np.int64)
-    omega = procrustes(S.data[:, src_idx], T.data[:, trg_idx])
+    omega = procrustes(S.data[:, matching.src], T.data[:, matching.trg])
     if update_mu:
-        mu = centroid(T, unmatched, prev.mu)
+        mu = centroid(T, matching.unmatched_targets(), prev.mu)
     else:
         mu = np.array(prev.mu, dtype=np.float64)
     params = ModelParams(omega, mu)
@@ -333,43 +263,47 @@ def m_step(
 
 
 def _mean_cosine(
-    S: EmbeddingMatrix, T: EmbeddingMatrix, params: ModelParams, pair_list: list[tuple[int, int]]
+    S: EmbeddingMatrix, T: EmbeddingMatrix, params: ModelParams, m: Matching
 ) -> float:
-    trg_idx = np.array([i for i, _ in pair_list], dtype=np.int64)
-    src_idx = np.array([j for _, j in pair_list], dtype=np.int64)
-    t = T.data[:, trg_idx]
-    s = params.omega @ S.data[:, src_idx]
+    t = T.data[:, m.trg]
+    s = params.omega @ S.data[:, m.src]
     dots = np.einsum("ij,ij->j", t, s)
     norms = np.linalg.norm(t, axis=0) * np.linalg.norm(s, axis=0)
     return float(np.mean(dots / norms))
 
 
 def _pin_seed_pairs(
-    assignment: Matching | Alignment,
-    seed: SeedDictionary,
+    m: Matching,
+    seed: Matching,
+    one_to_many: bool,
     S: EmbeddingMatrix,
     T: EmbeddingMatrix,
     params: ModelParams,
-) -> Matching | Alignment:
-    from lexmatch.candidates import edge_weight
+) -> Matching:
+    """m with the seed pairs forced in and the pairs sharing a vertex with one dropped.
 
-    if isinstance(assignment, Alignment):
-        a = assignment.source_for_target.copy()
-        w = assignment.weights.copy()
-        for j, i in seed.pairs:
-            a[i] = j
-            w[i] = edge_weight(T.data[:, i], S.data[:, j], params)
-        return Alignment(a, assignment.n_src, w)
-    seed_trg = {i for _, i in seed.pairs}
-    seed_src = {j for j, _ in seed.pairs}
-    kept: list[tuple[int, int, float]] = []
-    for (i, j) in assignment.edges:
-        if i in seed_trg or j in seed_src:
-            continue
-        kept.append((i, j, edge_weight(T.data[:, i], S.data[:, j], params)))
-    for j, i in seed.pairs:
-        kept.append((i, j, edge_weight(T.data[:, i], S.data[:, j], params)))
-    return Matching.from_pairs(assignment.n_trg, assignment.n_src, kept)
+    Sources are shared freely under one-to-many, where kept pairs also keep
+    their E-step weight; under the matching priors kept pairs are rescored
+    with edge_weight, as the seed pairs always are.
+    """
+    def scored(trg: np.ndarray, src: np.ndarray) -> list[float]:
+        return [
+            edge_weight(T.data[:, i], S.data[:, j], params)
+            for i, j in zip(trg.tolist(), src.tolist())
+        ]
+
+    keep = ~np.isin(m.trg, seed.trg)
+    if not one_to_many:
+        keep &= ~np.isin(m.src, seed.src)
+    trg, src = m.trg[keep], m.src[keep]
+    weight = m.weight[keep] if one_to_many else scored(trg, src)
+    return Matching(
+        m.n_trg,
+        m.n_src,
+        np.concatenate([trg, seed.trg]),
+        np.concatenate([src, seed.src]),
+        np.concatenate([weight, scored(seed.trg, seed.src)]),
+    )
 
 
 def run_em(
@@ -377,7 +311,7 @@ def run_em(
     T: EmbeddingMatrix,
     seed: SeedDictionary,
     config: EmConfig,
-) -> tuple[ModelParams, Matching | Alignment, EmTrace]:
+) -> tuple[ModelParams, Matching, EmTrace]:
     """Full training loop.
 
     Initialization: mu = 0 and Omega from Procrustes on the seed pairs
@@ -385,11 +319,14 @@ def run_em(
     config.pin_seed is set.  Stops when the mean cosine over induced pairs
     improves by less than convergence_eps between iterations (checked from
     iteration max(2, min_iters) on) or at max_iters.  Matrices are used as
-    given; config.normalization is metadata recorded by the caller, which
-    is expected to have applied it at load time.
+    given, normalized by the caller.
 
-    Returns final params, the last E-step result (a Matching, or an
-    Alignment in one_to_many mode), and the per-iteration trace.
+    With config.pin_seed the seed pairs must themselves satisfy the prior's
+    PRIOR_CAPS (ValueError otherwise), and every pinned result is checked
+    against them.
+
+    Returns final params, the last E-step pair set and the per-iteration
+    trace.
     """
     if not seed.pairs:
         raise ValueError("seed dictionary is empty")
@@ -401,6 +338,15 @@ def run_em(
 
     src_idx = np.array([j for j, _ in seed.pairs], dtype=np.int64)
     trg_idx = np.array([i for _, i in seed.pairs], dtype=np.int64)
+    caps = PRIOR_CAPS[config.prior]
+    pinned = None
+    if config.pin_seed:
+        # weights are scored under the current params at each pinning
+        pinned = Matching(T.n_words, S.n_words, trg_idx, src_idx, np.zeros(trg_idx.size))
+        try:
+            pinned.assert_degrees(*caps)
+        except ValueError as exc:
+            raise ValueError(f"seed cannot be pinned under {config.prior}: {exc}") from None
     params = ModelParams(
         procrustes(S.data[:, src_idx], T.data[:, trg_idx]),
         np.zeros(S.dim, dtype=np.float64),
@@ -409,7 +355,7 @@ def run_em(
 
     trace = EmTrace()
     one_to_many = config.prior == PRIOR_ONE_TO_MANY
-    assignment: Matching | Alignment = Matching(T.n_words, S.n_words, [], 0.0)
+    assignment = Matching(T.n_words, S.n_words, [], [], [])
     prev_cos: float | None = None
 
     for it in range(1, config.max_iters + 1):
@@ -417,16 +363,14 @@ def run_em(
             assignment = e_step_one_to_many(S, T, params, config)
         else:
             assignment = e_step_matching(S, T, params, config)
-        if config.pin_seed:
-            assignment = _pin_seed_pairs(assignment, seed, S, T, params)
-        pair_list = (
-            assignment.pairs() if isinstance(assignment, Alignment) else list(assignment.edges)
-        )
-        if not pair_list:
+        if pinned is not None:
+            assignment = _pin_seed_pairs(assignment, pinned, one_to_many, S, T, params)
+            assignment.assert_degrees(*caps)
+        if not len(assignment):
             raise EmCollapseError(f"E-step produced an empty matching at iteration {it}")
 
-        mean_cos = _mean_cosine(S, T, params, pair_list)
-        rec = EmIteration(it, len(pair_list), assignment.total_weight, mean_cos)
+        mean_cos = _mean_cosine(S, T, params, assignment)
+        rec = EmIteration(it, len(assignment), assignment.total_weight, mean_cos)
         trace.append(rec)
         logger.info(
             "iter=%d matched=%d total_weight=%.10f mean_cosine=%.10f",

@@ -79,11 +79,12 @@ def load_embeddings(
 ) -> tuple[Lexicon, EmbeddingMatrix]:
     """Read word2vec text format.
 
-    Tolerates \\r\\n line endings and a missing trailing newline.  Raises
-    ValueError with a 1-based line number for a malformed header, a row
-    whose value count disagrees with the header dimension, a duplicate
-    word, or a non-finite value.  max_vocab keeps only the first rows,
-    i.e. the most frequent words in frequency-sorted files.
+    Tolerates \\r\\n line endings, a missing trailing newline and blank
+    trailing lines.  Raises ValueError with a 1-based line number for a
+    malformed header, a row whose value count disagrees with the header
+    dimension, a duplicate word, a non-finite value, or a row past the
+    header's count.  max_vocab keeps only the first rows, i.e. the most
+    frequent words in frequency-sorted files, and ignores the rest.
     """
     words: list[str] = []
     seen: dict[str, int] = {}
@@ -130,6 +131,12 @@ def load_embeddings(
                 raise ValueError(f"line {lineno}: non-finite value for word {word!r}")
             words.append(word)
             data[row] = vec
+        if max_vocab is None:
+            for lineno, line in enumerate(fh, start=n_keep + 2):
+                if line.strip():
+                    raise ValueError(
+                        f"line {lineno}: row beyond the {n_declared} the header declares"
+                    )
 
     return Lexicon(words), EmbeddingMatrix(dim, data.T)
 

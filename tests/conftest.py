@@ -59,6 +59,18 @@ def planted_instance(n, d, noise, n_seeds, rng):
     }
 
 
+def pairs(m):
+    """A Matching's pairs as [(target, source), ...], in its (target, source) order."""
+    return list(zip(m.trg.tolist(), m.src.tolist()))
+
+
+def graph_edges(g):
+    """A graph's edges as [(target, source, weight), ...], source-major in row order."""
+    return [
+        (int(i), j, float(w)) for j in range(g.n_src) for i, w in zip(*g.edges_of(j))
+    ]
+
+
 def graph_from_dense(W):
     """Dense (n_trg, n_src) weight matrix -> candidate graph with every edge."""
     n_trg, n_src = W.shape

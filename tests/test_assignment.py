@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graph_from_dense, random_sparse_graph
+from conftest import graph_edges, graph_from_dense, pairs, random_sparse_graph
 from lexmatch.assignment import (
     Matching,
     brute_force_matching,
@@ -14,46 +14,55 @@ from lexmatch.candidates import CandidateGraph
 
 
 class TestMatching:
-    def test_from_pairs_sorts_and_sums(self):
-        """Edges come out target-sorted; the total is order-independent."""
-        m = Matching.from_pairs(3, 3, [(2, 0, 0.3), (0, 1, 0.5)])
-        assert m.edges == [(0, 1), (2, 0)]
-        assert m.edge_weights == [0.5, 0.3]
+    def test_pairs_sorted_and_summed(self):
+        """Pairs come out target-sorted; the total is order-independent."""
+        m = Matching(3, 3, [2, 0], [0, 1], [0.3, 0.5])
+        assert pairs(m) == [(0, 1), (2, 0)]
+        assert m.weight.tolist() == [0.5, 0.3]
         assert m.total_weight == pytest.approx(0.8)
-        m2 = Matching.from_pairs(3, 3, [(0, 1, 0.5), (2, 0, 0.3)])
+        m2 = Matching(3, 3, [0, 2], [1, 0], [0.5, 0.3])
         assert m2.total_weight == m.total_weight
 
+    def test_mismatched_arrays_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            Matching(3, 3, [0, 1], [1, 0], [0.5])
+
     def test_degree_cap_enforced(self):
-        m = Matching.from_pairs(2, 2, [(0, 0, 1.0), (1, 0, 1.0)])
+        m = Matching(2, 2, [0, 1], [0, 0], [1.0, 1.0])
         with pytest.raises(ValueError, match="source 0"):
             m.assert_degrees(1, 1)
         m.assert_degrees(1, 2)
+        m.assert_degrees(1, None)
+        with pytest.raises(ValueError, match="target 0"):
+            Matching(2, 2, [0, 0], [0, 1], [1.0, 1.0]).assert_degrees(1, None)
+        with pytest.raises(ValueError, match="range"):
+            Matching(2, 2, [2], [0], [1.0]).assert_degrees(None, None)
 
     def test_unmatched_helpers(self):
-        m = Matching.from_pairs(3, 4, [(1, 2, 1.0)])
-        assert m.matched_targets() == {1}
-        assert m.matched_sources() == {2}
+        m = Matching(3, 4, [1], [2], [1.0])
+        assert set(m.trg.tolist()) == {1}
+        assert set(m.src.tolist()) == {2}
         assert m.unmatched_targets().tolist() == [0, 2]
-        assert m.unmatched_sources().tolist() == [0, 1, 3]
+        assert np.setdiff1d(np.arange(m.n_src), m.src).tolist() == [0, 1, 3]
 
 
 class TestHungarianDense:
     def test_diagonal_wins(self):
         """[[2,1],[1,2]] pairs the diagonal for total 4."""
         m = hungarian_dense(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert m.edges == [(0, 0), (1, 1)]
+        assert pairs(m) == [(0, 0), (1, 1)]
         assert m.total_weight == pytest.approx(4.0)
 
     def test_antidiagonal_wins(self):
         """[[1,3],[3,1]] pairs the antidiagonal for total 6."""
         m = hungarian_dense(np.array([[1.0, 3.0], [3.0, 1.0]]))
-        assert m.edges == [(0, 1), (1, 0)]
+        assert pairs(m) == [(0, 1), (1, 0)]
         assert m.total_weight == pytest.approx(6.0)
 
     def test_dominant_diagonal(self):
         """diag(5,5,5) over zeros matches the diagonal, total 15."""
         m = hungarian_dense(np.diag([5.0, 5.0, 5.0]))
-        assert m.edges == [(0, 0), (1, 1), (2, 2)]
+        assert pairs(m) == [(0, 0), (1, 1), (2, 2)]
         assert m.total_weight == pytest.approx(15.0)
 
     def test_rejects_non_square(self):
@@ -70,7 +79,7 @@ class TestSolveSparseLap:
         """One edge in a 3x3 graph is taken; everything else stays unmatched."""
         g = CandidateGraph.from_lists(3, 3, [[(0, 1.5)], [], []])
         m = solve_sparse_lap(g)
-        assert m.edges == [(0, 0)]
+        assert pairs(m) == [(0, 0)]
         assert m.total_weight == pytest.approx(1.5)
         assert m.unmatched_targets().tolist() == [1, 2]
 
@@ -79,20 +88,20 @@ class TestSolveSparseLap:
         W = np.array([[2.0, 1.0], [1.0, 2.0]])
         m = solve_sparse_lap(graph_from_dense(W))
         oracle = hungarian_dense(W)
-        assert m.edges == oracle.edges
+        assert pairs(m) == pairs(oracle)
         assert m.total_weight == pytest.approx(4.0)
 
     def test_empty_graph(self):
         g = CandidateGraph.from_lists(2, 2, [[], []])
         m = solve_sparse_lap(g)
-        assert m.edges == []
+        assert pairs(m) == []
         assert m.total_weight == 0.0
 
     def test_disjoint_edges_all_selected(self):
         """One edge per source on distinct targets conflicts with nothing."""
         g = CandidateGraph.from_lists(3, 3, [[(2, 0.2)], [(0, 0.4)], [(1, 0.6)]])
         m = solve_sparse_lap(g)
-        assert m.edges == [(0, 1), (1, 2), (2, 0)]
+        assert pairs(m) == [(0, 1), (1, 2), (2, 0)]
         assert m.total_weight == pytest.approx(1.2)
 
     def test_rejects_negative_weights(self):
@@ -109,7 +118,7 @@ class TestSolveSparseLap:
         """A source indifferent between two targets lands on the lower id."""
         g = CandidateGraph.from_lists(1, 2, [[(0, 0.5), (1, 0.5)]])
         m = solve_sparse_lap(g)
-        assert m.edges == [(0, 0)]
+        assert pairs(m) == [(0, 0)]
 
     def test_agrees_with_dense_oracle(self):
         """Strictly positive dense instances give the same total as the oracle."""
@@ -134,7 +143,7 @@ class TestSolveSparseLap:
         fast = solve_sparse_lap(g)
         slow = brute_force_matching(g)
         assert fast.total_weight == slow.total_weight
-        assert fast.edges == slow.edges
+        assert pairs(fast) == pairs(slow)
 
     @settings(deadline=None, max_examples=80)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 6))
@@ -162,8 +171,8 @@ class TestSolveSparseLap:
         padded = CandidateGraph.from_lists(g.n_src + pad, g.n_trg, lists)
         m = solve_sparse_lap(g)
         mp = solve_sparse_lap(padded)
-        assert mp.edges == [(i, int(new_id[j])) for i, j in m.edges]
-        assert mp.edge_weights == m.edge_weights
+        assert pairs(mp) == [(i, int(new_id[j])) for i, j in pairs(m)]
+        assert mp.weight.tolist() == m.weight.tolist()
         assert mp.total_weight == m.total_weight
         if W is not None:
             oracle = hungarian_dense(W)
@@ -181,7 +190,7 @@ class TestBruteForce:
         rng = np.random.default_rng(9)
         g = random_sparse_graph(3, 3, 7, rng)
         best = brute_force_matching(g)
-        edges = list(g.iter_edges())
+        edges = graph_edges(g)
         for mask in range(1 << len(edges)):
             chosen = [edges[b] for b in range(len(edges)) if mask >> b & 1]
             if len({i for i, _, _ in chosen}) < len(chosen):

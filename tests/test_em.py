@@ -1,22 +1,28 @@
+from collections import Counter
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     graph_from_dense,
+    pairs,
     planted_instance,
     random_orthogonal,
+    random_sparse_graph,
     random_unit_matrix,
     unit_columns,
 )
-from lexmatch.assignment import Matching, brute_force_matching
+from lexmatch.assignment import Matching, brute_force_matching, solve_sparse_lap
 from lexmatch.candidates import CandidateGraph
 from lexmatch.em import (
+    PRIOR_CAPS,
     PRIOR_ONE_TO_MANY,
     PRIOR_ONE_TO_ONE,
     PRIOR_ONE_TO_TWO,
     PRIOR_TWO_TO_TWO,
-    UNALIGNED,
-    Alignment,
     EmCollapseError,
     EmConfig,
     ModelParams,
@@ -97,8 +103,8 @@ class TestEStepMatching:
         T = EmbeddingMatrix(2, np.eye(2))
         params = ModelParams(np.eye(2), np.zeros(2))
         m = e_step_matching(S, T, params, EmConfig(k=2))
-        assert m.edges == [(0, 0), (1, 1)]
-        np.testing.assert_allclose(m.edge_weights, [0.5, 0.5], atol=1e-12)
+        assert pairs(m) == [(0, 0), (1, 1)]
+        np.testing.assert_allclose(m.weight, [0.5, 0.5], atol=1e-12)
 
     def test_all_pruned_gives_empty(self):
         """Cross cosines below one half leave no candidate edges."""
@@ -106,7 +112,7 @@ class TestEStepMatching:
         T = EmbeddingMatrix(2, np.array([[0.0], [1.0]]))
         params = ModelParams(np.eye(2), np.zeros(2))
         m = e_step_matching(S, T, params, EmConfig(k=1))
-        assert m.edges == []
+        assert pairs(m) == []
 
     def test_matches_brute_force_total(self):
         """Small dense instances agree with exhaustive enumeration."""
@@ -133,20 +139,20 @@ class TestEStepOneToMany:
         t = unit_columns(np.array([[0.95, 0.9], [0.31224989991991992, 0.43588989435406733]]))
         T = EmbeddingMatrix(2, t)
         a = e_step_one_to_many(S, T, self.params2(), EmConfig(k=1, prior=PRIOR_ONE_TO_MANY))
-        assert a.source_for_target.tolist() == [0, 0]
+        assert a.src.tolist() == [0, 0]
 
     def test_negative_best_stays_unaligned(self):
         """A target whose best weight is negative aligns to nothing."""
         S = EmbeddingMatrix(2, np.array([[1.0], [0.0]]))
         T = EmbeddingMatrix(2, unit_columns(np.array([[0.3], [0.9539392014169456]])))
         a = e_step_one_to_many(S, T, self.params2(), EmConfig(k=1, prior=PRIOR_ONE_TO_MANY))
-        assert a.source_for_target.tolist() == [UNALIGNED]
+        assert len(a) == 0 and a.unmatched_targets().tolist() == [0]
 
     def test_single_pair(self):
         S = EmbeddingMatrix(2, unit_columns(np.array([[0.8], [0.6]])))
         T = EmbeddingMatrix(2, unit_columns(np.array([[0.8], [0.6]])))
         a = e_step_one_to_many(S, T, self.params2(), EmConfig(k=1, prior=PRIOR_ONE_TO_MANY))
-        assert a.source_for_target.tolist() == [0]
+        assert a.src.tolist() == [0]
         assert len(a) == 1
 
     def test_contrast_with_matching(self):
@@ -156,7 +162,7 @@ class TestEStepOneToMany:
         T = EmbeddingMatrix(2, t)
         cfg = EmConfig(k=2)
         m = e_step_matching(S, T, self.params2(), cfg)
-        srcs = [j for _, j in m.edges]
+        srcs = [j for _, j in pairs(m)]
         assert len(srcs) == len(set(srcs))
 
 
@@ -166,7 +172,7 @@ class TestMStep:
         rng = np.random.default_rng(42)
         S = random_unit_matrix(3, 6, rng)
         T = EmbeddingMatrix(3, S.data.copy())
-        m = Matching.from_pairs(6, 6, [(i, i, 0.5) for i in range(6)])
+        m = Matching(6, 6, range(6), range(6), [0.5] * 6)
         prev = ModelParams(random_orthogonal(3, rng), np.array([0.1, 0.2, 0.3]))
         params = m_step(S, T, m, prev)
         np.testing.assert_allclose(params.omega, np.eye(3), atol=1e-10)
@@ -179,7 +185,7 @@ class TestMStep:
         S = random_unit_matrix(2, 2, rng)
         t_u = np.array([0.6, -0.8])
         T = EmbeddingMatrix(2, np.column_stack([R @ S.data, t_u]))
-        m = Matching.from_pairs(3, 2, [(0, 0, 1.0), (1, 1, 1.0)])
+        m = Matching(3, 2, [0, 1], [0, 1], [1.0, 1.0])
         params = m_step(S, T, m, ModelParams(np.eye(2), np.zeros(2)))
         np.testing.assert_allclose(params.omega, R, atol=1e-10)
         np.testing.assert_allclose(params.mu, t_u, atol=1e-12)
@@ -189,7 +195,7 @@ class TestMStep:
         rng = np.random.default_rng(11)
         S = random_unit_matrix(3, 2, rng)
         T = random_unit_matrix(3, 2, rng)
-        a = Alignment(np.array([0, 0], dtype=np.int64), 2, np.array([0.4, 0.3]))
+        a = Matching(2, 2, [0, 1], [0, 0], [0.4, 0.3])
         params = m_step(S, T, a, ModelParams(np.eye(3), np.zeros(3)), update_mu=False)
         S_rep = S.data[:, [0, 0]]
         np.testing.assert_allclose(params.omega, procrustes(S_rep, T.data), atol=1e-12)
@@ -198,13 +204,13 @@ class TestMStep:
         S = random_unit_matrix(2, 2, np.random.default_rng(0))
         T = random_unit_matrix(2, 2, np.random.default_rng(1))
         with pytest.raises(EmCollapseError):
-            m_step(S, T, Matching(2, 2, [], 0.0), ModelParams(np.eye(2), np.zeros(2)))
+            m_step(S, T, Matching(2, 2, [], [], []), ModelParams(np.eye(2), np.zeros(2)))
 
     def test_update_mu_false_keeps_mu(self):
         rng = np.random.default_rng(2)
         S = random_unit_matrix(2, 3, rng)
         T = random_unit_matrix(2, 3, rng)
-        m = Matching.from_pairs(3, 3, [(0, 0, 0.5)])
+        m = Matching(3, 3, [0], [0], [0.5])
         prev_mu = np.array([0.7, 0.7])
         params = m_step(S, T, m, ModelParams(np.eye(2), prev_mu), update_mu=False)
         np.testing.assert_array_equal(params.mu, prev_mu)
@@ -222,7 +228,7 @@ class TestDuplicateAndMerge:
         from lexmatch.assignment import solve_sparse_lap
 
         merged = merge(solve_sparse_lap(g2))
-        assert merged.edges == [(0, 0)]
+        assert pairs(merged) == [(0, 0)]
         assert merged.total_weight == pytest.approx(0.4)
 
     def test_one_to_two_keeps_both_targets(self):
@@ -233,13 +239,49 @@ class TestDuplicateAndMerge:
         from lexmatch.assignment import solve_sparse_lap
 
         merged = merge(solve_sparse_lap(g2))
-        assert merged.edges == [(0, 0), (1, 0)]
+        assert pairs(merged) == [(0, 0), (1, 0)]
         assert merged.total_weight == pytest.approx(0.7)
         merged.assert_degrees(trg_cap=1, src_cap=2)
 
     def test_one_to_one_rejected(self):
         with pytest.raises(ValueError):
             duplicate_and_merge(self.one_edge_graph(), PRIOR_ONE_TO_ONE)
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_expansion_rows_and_merge(self, seed):
+        """Row r of the 1:2 expansion is original row r % ns; under 2:2 it is
+        that row followed by the same row shifted by nt.  Edge order inside a
+        row is kept, since the solver's tie-breaks follow it.  The merge
+        equals first-seen dedup of (target % nt, source % ns) pairs."""
+        rng = np.random.default_rng(seed)
+        ns, nt = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        g = random_sparse_graph(ns, nt, int(rng.integers(0, ns * nt + 1)), rng)
+        lists = []
+        for j in range(ns):
+            t, w = g.edges_of(j)
+            order = rng.permutation(t.size)
+            lists.append(list(zip(t[order].tolist(), w[order].tolist())))
+        g = CandidateGraph.from_lists(ns, nt, lists)
+        for prior in (PRIOR_ONE_TO_TWO, PRIOR_TWO_TO_TWO):
+            both = prior == PRIOR_TWO_TO_TWO
+            expanded, merge = duplicate_and_merge(g, prior)
+            expanded.validate()
+            assert (expanded.n_src, expanded.n_trg) == (2 * ns, 2 * nt if both else nt)
+            for r in range(2 * ns):
+                t, w = g.edges_of(r % ns)
+                want_t, want_w = t.tolist(), w.tolist()
+                if both:
+                    want_t, want_w = want_t + [i + nt for i in want_t], want_w * 2
+                got_t, got_w = expanded.edges_of(r)
+                assert got_t.tolist() == want_t and got_w.tolist() == want_w
+            m = solve_sparse_lap(expanded)
+            first = {}
+            for i, j, w in zip(m.trg.tolist(), m.src.tolist(), m.weight.tolist()):
+                first.setdefault((i % nt, j % ns), w)
+            merged = merge(m)
+            assert pairs(merged) == sorted(first)
+            assert merged.weight.tolist() == [first[p] for p in sorted(first)]
 
 
 class TestRunEm:
@@ -248,8 +290,8 @@ class TestRunEm:
         rng = np.random.default_rng(42)
         inst = planted_instance(200, 20, 0.0, 10, rng)
         params, match, trace = run_em(inst["S"], inst["T"], inst["seed"], EmConfig(k=3))
-        assert all(inst["perm"][i] == j for i, j in match.edges)
-        assert len(match.edges) == 200
+        assert all(inst["perm"][i] == j for i, j in pairs(match))
+        assert len(pairs(match)) == 200
         assert trace.records[-1].mean_cosine == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_iterations_returns_seed_fit(self):
@@ -263,7 +305,7 @@ class TestRunEm:
         trg = np.array([i for _, i in inst["seed"].pairs])
         expected = procrustes(inst["S"].data[:, src], inst["T"].data[:, trg])
         np.testing.assert_allclose(params.omega, expected, atol=1e-12)
-        assert match.edges == [] and trace.records == [] and not trace.converged
+        assert pairs(match) == [] and trace.records == [] and not trace.converged
 
     def test_exact_regime_traces_are_monotone(self):
         """With dense candidates and a fixed reference point, both the matched
@@ -304,9 +346,44 @@ class TestRunEm:
         _, match, _ = run_em(
             inst["S"], inst["T"], inst["seed"], EmConfig(k=3, pin_seed=True)
         )
-        got = set(match.edges)
+        got = set(pairs(match))
         for j, i in inst["seed"].pairs:
             assert (i, j) in got
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from(sorted(PRIOR_CAPS)), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_pinned_seed_within_caps(self, prior, seed):
+        """A pinned seed is rejected exactly when it breaks the prior's caps;
+        otherwise every iteration's pairs keep every seed pair within them."""
+        rng = np.random.default_rng(seed)
+        n = 10
+        inst = planted_instance(n, 4, 0.3, 0, rng)
+        cells = rng.choice(n * n, size=int(rng.integers(1, 7)), replace=False)
+        seed_pairs = [divmod(int(c), n) for c in cells]  # (source, target)
+        trg_cap, src_cap = PRIOR_CAPS[prior]
+        fits = max(Counter(i for _, i in seed_pairs).values()) <= trg_cap and (
+            src_cap is None or max(Counter(j for j, _ in seed_pairs).values()) <= src_cap
+        )
+        config = EmConfig(k=3, prior=prior, pin_seed=True, max_iters=3)
+        if not fits:
+            with pytest.raises(ValueError, match="cannot be pinned"):
+                run_em(inst["S"], inst["T"], seed_of(seed_pairs), config)
+            return
+        seen = []
+
+        def recording_m_step(S, T, matching, *args, **kwargs):
+            seen.append(matching)
+            return m_step(S, T, matching, *args, **kwargs)
+
+        with mock.patch("lexmatch.em.m_step", recording_m_step):
+            _, final, _ = run_em(inst["S"], inst["T"], seed_of(seed_pairs), config)
+        assert seen and seen[-1] is final
+        for m in seen:
+            got = pairs(m)
+            assert all((i, j) in got for j, i in seed_pairs)
+            assert max(Counter(i for i, _ in got).values()) <= trg_cap
+            if src_cap is not None:
+                assert max(Counter(j for _, j in got).values()) <= src_cap
 
     def test_empty_seed_rejected(self):
         S = EmbeddingMatrix(2, np.eye(2))
@@ -317,6 +394,17 @@ class TestRunEm:
         S = EmbeddingMatrix(2, np.eye(2))
         with pytest.raises(ValueError, match="range"):
             run_em(S, S, seed_of([(0, 5)]), EmConfig())
+
+
+class TestPriorCaps:
+    def test_caps_per_prior(self):
+        """(target, source) degree caps; one-to-many leaves sources free."""
+        assert PRIOR_CAPS == {
+            PRIOR_ONE_TO_ONE: (1, 1),
+            PRIOR_ONE_TO_TWO: (1, 2),
+            PRIOR_TWO_TO_TWO: (2, 2),
+            PRIOR_ONE_TO_MANY: (1, None),
+        }
 
 
 class TestEmConfig:
@@ -335,10 +423,6 @@ class TestEmConfig:
     def test_bad_max_iters(self):
         with pytest.raises(ValueError):
             EmConfig(max_iters=-1)
-
-    def test_bad_normalization(self):
-        with pytest.raises(ValueError):
-            EmConfig(normalization="l2")
 
 
 class TestModelIO:

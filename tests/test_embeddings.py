@@ -70,6 +70,19 @@ class TestLoadEmbeddings:
         assert lex.words == ["a"]
         assert mat.data.shape == (3, 1)
 
+    def test_extra_row_reports_line(self, tmp_path):
+        """A row past the header count fails naming its line, unless
+        max_vocab truncates; blank trailing lines are no rows."""
+        path = self.write(tmp_path, "2 3\na 1 0 0\nb 0 1 0\n\nc 0 0 1\n")
+        with pytest.raises(ValueError, match="line 5"):
+            load_embeddings(path)
+        for max_vocab in (1, 2, 5):
+            lex, _ = load_embeddings(path, max_vocab=max_vocab)
+            assert lex.words == ["a", "b"][:max_vocab]
+        path = self.write(tmp_path, "2 3\na 1 0 0\nb 0 1 0\n\n \n")
+        lex, _ = load_embeddings(path)
+        assert lex.words == ["a", "b"]
+
     def test_duplicate_word_reports_line(self, tmp_path):
         """A repeated word fails naming the word and the offending line."""
         path = self.write(tmp_path, "2 3\na 1 0 0\na 0 1 0\n")

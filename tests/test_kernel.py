@@ -109,12 +109,13 @@ class TestKernelCallers:
         with mock.patch.object(candidates, "BLOCK_ELEMENTS", block):
             a = e_step_one_to_many(S, T, params, config)
         W = weight_matrix(S, T, params, ns, nt).T  # (targets, sources)
+        got = dict(zip(a.trg.tolist(), zip(a.src.tolist(), a.weight.tolist())))
         for i in range(T.n_words):
             best = ranked(W, 1)[i][0] if i < nt else None
             if best is None or W[i, best] < 0.0:
-                assert a.source_for_target[i] == -1 and a.weights[i] == 0.0
+                assert i not in got
             else:
-                assert a.source_for_target[i] == best and a.weights[i] == W[i, best]
+                assert got[i] == (best, W[i, best])
 
     @settings(deadline=None, max_examples=150)
     @given(instances(), st.integers(1, 14), st.integers(1, 40), st.data())
