@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from lexmatch.cli import main as cli_main
+from lexmatch.embeddings import EmbeddingMatrix, Lexicon, save_embeddings
 
 
 def unit_columns(x):
@@ -23,14 +24,6 @@ def unit_columns(x):
 def random_orthogonal(d, rng):
     q, r = np.linalg.qr(rng.standard_normal((d, d)))
     return q * np.sign(np.diag(r))
-
-
-def write_vec(path, words, data):
-    d, n = data.shape
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{n} {d}\n")
-        for i, w in enumerate(words):
-            fh.write(w + " " + " ".join(repr(float(v)) for v in data[:, i]) + "\n")
 
 
 def build(args):
@@ -48,8 +41,9 @@ def build(args):
     inv = np.empty(n, dtype=np.int64)
     inv[perm] = np.arange(n)
     os.makedirs(args.out_dir, exist_ok=True)
-    write_vec(os.path.join(args.out_dir, "src.vec"), src_words, S)
-    write_vec(os.path.join(args.out_dir, "trg.vec"), trg_words, T)
+    for name, words, data in (("src.vec", src_words, S), ("trg.vec", trg_words, T)):
+        path = os.path.join(args.out_dir, name)
+        save_embeddings(path, Lexicon(words), EmbeddingMatrix(d, data))
     with open(os.path.join(args.out_dir, "gold.tsv"), "w", encoding="utf-8") as fh:
         for j, w in enumerate(src_words):
             fh.write(f"{w}\t{trg_words[inv[j]]}\n")

@@ -4,7 +4,6 @@ from lexmatch.embeddings import (
     EmbeddingMatrix,
     Lexicon,
     load_embeddings,
-    normalize,
     normalize_pair,
     save_embeddings,
 )

@@ -45,24 +45,6 @@ class CandidateGraph:
     targets: np.ndarray
     weights: np.ndarray
 
-    @classmethod
-    def from_lists(
-        cls, n_src: int, n_trg: int, lists: list[list[tuple[int, float]]]
-    ) -> "CandidateGraph":
-        """Build from per-source [(target, weight), ...] lists."""
-        if len(lists) != n_src:
-            raise ValueError(f"expected {n_src} adjacency lists, got {len(lists)}")
-        counts = np.array([len(l) for l in lists], dtype=np.int64)
-        indptr = np.zeros(n_src + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        targets = np.array(
-            [i for l in lists for (i, _) in l], dtype=np.int64
-        )
-        weights = np.array(
-            [w for l in lists for (_, w) in l], dtype=np.float64
-        )
-        return cls(n_src, n_trg, indptr, targets, weights)
-
     @property
     def n_edges(self) -> int:
         return int(self.indptr[-1])

@@ -70,7 +70,7 @@ class ModelParams:
     def dim(self) -> int:
         return self.omega.shape[0]
 
-    def validate(self, tol: float = 1e-6) -> None:
+    def validate(self) -> None:
         d = self.omega.shape[0]
         if self.omega.shape != (d, d) or self.mu.shape != (d,):
             raise ValueError(
@@ -79,7 +79,7 @@ class ModelParams:
         if not (np.all(np.isfinite(self.omega)) and np.all(np.isfinite(self.mu))):
             raise ValueError("non-finite model parameters")
         gram_err = np.linalg.norm(self.omega.T @ self.omega - np.eye(d))
-        if gram_err > tol:
+        if gram_err > 1e-6:
             raise ValueError(f"omega is not orthogonal: ||O^T O - I||_F = {gram_err:.3e}")
 
 

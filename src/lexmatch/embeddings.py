@@ -73,11 +73,9 @@ class EmbeddingMatrix:
 
 
 def load_embeddings(
-    path: str,
-    max_vocab: int | None = None,
-    dtype=np.float64,
+    path: str, max_vocab: int | None = None
 ) -> tuple[Lexicon, EmbeddingMatrix]:
-    """Read word2vec text format.
+    """Read word2vec text format into float64.
 
     Tolerates \\r\\n line endings, a missing trailing newline and blank
     trailing lines.  Raises ValueError with a 1-based line number for a
@@ -105,15 +103,16 @@ def load_embeddings(
             raise ValueError(f"line 1: invalid header counts n={n_declared} d={dim}")
 
         n_keep = n_declared if max_vocab is None else min(n_declared, max_vocab)
-        data = np.empty((n_keep, dim), dtype=dtype)
+        data = np.empty((n_keep, dim))
         for row in range(n_keep):
             lineno = row + 2
             line = fh.readline()
             if not line:
                 raise ValueError(f"line {lineno}: unexpected end of file, header declared {n_declared} rows")
             fields = line.rstrip("\r\n").split(" ")
-            # tolerate a trailing space before the newline
-            if fields and fields[-1] == "":
+            # tolerate a trailing space before the newline; a blank line keeps
+            # its one empty field and fails the count check below
+            if len(fields) > 1 and fields[-1] == "":
                 fields.pop()
             if len(fields) != dim + 1:
                 raise ValueError(
@@ -124,7 +123,7 @@ def load_embeddings(
                 raise ValueError(f"line {lineno}: duplicate word {word!r} (first at line {seen[word]})")
             seen[word] = lineno
             try:
-                vec = np.asarray(fields[1:], dtype=dtype)
+                vec = np.asarray(fields[1:], dtype=np.float64)
             except ValueError:
                 raise ValueError(f"line {lineno}: unparseable value for word {word!r}") from None
             if not np.all(np.isfinite(vec)):
@@ -154,37 +153,12 @@ def save_embeddings(path: str, lexicon: Lexicon, matrix: EmbeddingMatrix) -> Non
             fh.write(f"{word} {vals}\n")
 
 
-def _unit_columns(data: np.ndarray, words: list[str] | None) -> np.ndarray:
+def _unit_columns(data: np.ndarray, words: list[str]) -> np.ndarray:
     norms = np.linalg.norm(data, axis=0)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        i = int(zero[0])
-        name = words[i] if words is not None else f"column {i}"
-        raise ValueError(f"cannot unit-normalize zero vector for {name!r}")
+        raise ValueError(f"cannot unit-normalize zero vector for {words[int(zero[0])]!r}")
     return data / norms
-
-
-def normalize(
-    matrix: EmbeddingMatrix,
-    scheme: str,
-    words: list[str] | None = None,
-) -> EmbeddingMatrix:
-    """Apply a normalization scheme, returning a new matrix.
-
-    unit: scale each column to unit length.  unit_center_unit: unit-scale,
-    subtract the per-dimension mean across the vocabulary, unit-scale
-    again.  Zero-norm columns are an error (named via `words` when given);
-    use normalize_pair with drop_zero=True to drop them instead.
-    """
-    if scheme not in NORMALIZATION_SCHEMES:
-        raise ValueError(f"unknown normalization scheme {scheme!r}, expected one of {NORMALIZATION_SCHEMES}")
-    if scheme == NORM_NONE:
-        return EmbeddingMatrix(matrix.dim, matrix.data.copy())
-    data = _unit_columns(matrix.data, words)
-    if scheme == NORM_UNIT_CENTER_UNIT:
-        data = data - data.mean(axis=1, keepdims=True)
-        data = _unit_columns(data, words)
-    return EmbeddingMatrix(matrix.dim, data)
 
 
 def normalize_pair(
@@ -193,22 +167,31 @@ def normalize_pair(
     scheme: str,
     drop_zero: bool = False,
 ) -> tuple[Lexicon, EmbeddingMatrix]:
-    """normalize() on a (lexicon, matrix) pair.
+    """Apply a normalization scheme to a (lexicon, matrix) pair, returning new ones.
 
-    With drop_zero=True, words with zero-norm vectors are removed from
-    both sides before normalizing (ids are recompacted); otherwise a zero
-    vector raises naming the offending word.
+    none: copy.  unit: scale each column to unit length.  unit_center_unit:
+    unit-scale, subtract the per-dimension mean across the vocabulary,
+    unit-scale again.  A zero-norm column raises naming its word; with
+    drop_zero=True such words are removed from both sides first (ids are
+    recompacted).
     """
+    if scheme not in NORMALIZATION_SCHEMES:
+        raise ValueError(f"unknown normalization scheme {scheme!r}, expected one of {NORMALIZATION_SCHEMES}")
     if len(lexicon) != matrix.n_words:
         raise ValueError(
             f"lexicon size {len(lexicon)} != matrix column count {matrix.n_words}"
         )
     words = lexicon.words
     data = matrix.data
-    if drop_zero and scheme != NORM_NONE:
+    if scheme == NORM_NONE:
+        return Lexicon(list(words)), EmbeddingMatrix(matrix.dim, data.copy())
+    if drop_zero:
         keep = np.linalg.norm(data, axis=0) != 0.0
         if not np.all(keep):
             words = [w for w, k in zip(words, keep) if k]
             data = data[:, keep]
-    out = normalize(EmbeddingMatrix(matrix.dim, data), scheme, words)
-    return Lexicon(list(words)), out
+    data = _unit_columns(data, words)
+    if scheme == NORM_UNIT_CENTER_UNIT:
+        data = data - data.mean(axis=1, keepdims=True)
+        data = _unit_columns(data, words)
+    return Lexicon(list(words)), EmbeddingMatrix(matrix.dim, data)

@@ -194,9 +194,6 @@ class HubnessReport:
         order = np.lexsort((np.arange(self.counts.size), -self.counts))
         return [(int(i), int(self.counts[i])) for i in order]
 
-    def max_count(self) -> int:
-        return int(self.counts.max())
-
 
 def hubness(
     params: ModelParams,

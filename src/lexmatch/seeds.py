@@ -83,33 +83,9 @@ def seed_numerals(lex_src: Lexicon, lex_trg: Lexicon) -> SeedDictionary:
     return SeedDictionary(pairs, PROVENANCE_NUMERALS, len(pairs))
 
 
-def seed_identical(
-    lex_src: Lexicon, lex_trg: Lexicon, case_fold: bool = False
-) -> SeedDictionary:
-    """Pairs (w, w) for every string present in both vocabularies.
-
-    Comparison is case-sensitive by default.  With case_fold=True, words
-    are compared casefolded and the lowest-id word on each side represents
-    its folded form.
-    """
-    if case_fold:
-        fold_src: dict[str, int] = {}
-        for i, w in enumerate(lex_src.words):
-            fold_src.setdefault(w.casefold(), i)
-        pairs = []
-        seen_trg_keys: set[str] = set()
-        for i, w in enumerate(lex_trg.words):
-            key = w.casefold()
-            if key in seen_trg_keys:
-                continue
-            seen_trg_keys.add(key)
-            if key in fold_src:
-                pairs.append((fold_src[key], i))
-        pairs.sort()
-    else:
-        pairs = [
-            (lex_src.id(w), lex_trg.id(w)) for w in lex_src.words if w in lex_trg
-        ]
+def seed_identical(lex_src: Lexicon, lex_trg: Lexicon) -> SeedDictionary:
+    """Pairs (w, w) for every string present in both vocabularies, case-sensitive."""
+    pairs = [(lex_src.id(w), lex_trg.id(w)) for w in lex_src.words if w in lex_trg]
     if not pairs:
         raise ValueError("no identical strings between the vocabularies")
     return SeedDictionary(pairs, PROVENANCE_IDENTICAL, len(pairs))

@@ -7,7 +7,7 @@ their own generators with fixed seeds so failures reproduce exactly.
 import numpy as np
 
 from lexmatch.candidates import CandidateGraph
-from lexmatch.embeddings import EmbeddingMatrix, Lexicon
+from lexmatch.embeddings import EmbeddingMatrix, Lexicon, save_embeddings
 from lexmatch.seeds import PROVENANCE_TSV, SeedDictionary
 
 
@@ -71,11 +71,21 @@ def graph_edges(g):
     ]
 
 
+def graph(n_src, n_trg, lists):
+    """Candidate graph from per-source [(target, weight), ...] lists, in list order."""
+    assert len(lists) == n_src, f"expected {n_src} adjacency lists, got {len(lists)}"
+    indptr = np.zeros(n_src + 1, dtype=np.int64)
+    np.cumsum(np.array([len(l) for l in lists], dtype=np.int64), out=indptr[1:])
+    targets = np.array([i for l in lists for (i, _) in l], dtype=np.int64)
+    weights = np.array([w for l in lists for (_, w) in l], dtype=np.float64)
+    return CandidateGraph(n_src, n_trg, indptr, targets, weights)
+
+
 def graph_from_dense(W):
     """Dense (n_trg, n_src) weight matrix -> candidate graph with every edge."""
     n_trg, n_src = W.shape
     lists = [[(i, float(W[i, j])) for i in range(n_trg)] for j in range(n_src)]
-    return CandidateGraph.from_lists(n_src, n_trg, lists)
+    return graph(n_src, n_trg, lists)
 
 
 def random_sparse_graph(n_src, n_trg, n_edges, rng, low=0.0, high=1.0):
@@ -85,13 +95,39 @@ def random_sparse_graph(n_src, n_trg, n_edges, rng, low=0.0, high=1.0):
     for c in sorted(cells.tolist()):
         j, i = divmod(c, n_trg)
         lists[j].append((i, float(rng.uniform(low, high))))
-    return CandidateGraph.from_lists(n_src, n_trg, lists)
+    return graph(n_src, n_trg, lists)
 
 
-def write_vec(path, words, data):
-    """Write a plain-text embedding file: count/dim header then one row per word."""
-    d, n = data.shape
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{n} {d}\n")
-        for i, w in enumerate(words):
-            fh.write(w + " " + " ".join(repr(float(v)) for v in data[:, i]) + "\n")
+def write_planted_numerals(directory):
+    """Noiseless rotated permutation of 40 words with 8 shared numerals, on disk.
+
+    Writes src.vec, trg.vec and gold.tsv (source word, true target) into
+    `directory`.  The numeral words sit at ids 0..7 on both sides so they
+    survive any vocabulary truncation a test applies.  Returns the paths,
+    both word lists and inv (source j's true target id).
+    """
+    rng = np.random.default_rng(42)
+    n, d = 40, 8
+    S = unit_columns(rng.standard_normal((d, n)))
+    R = random_orthogonal(d, rng)
+    perm = np.concatenate([np.arange(8), 8 + rng.permutation(n - 8)])
+    T = unit_columns(R @ S[:, perm])
+    src_words = [str(1990 + j) if j < 8 else f"s{j}" for j in range(n)]
+    trg_words = [
+        str(1990 + perm[i]) if perm[i] < 8 else f"t{perm[i]}" for i in range(n)
+    ]
+    inv = np.empty(n, dtype=int)
+    inv[perm] = np.arange(n)
+    save_embeddings(directory / "src.vec", Lexicon(src_words), EmbeddingMatrix(d, S))
+    save_embeddings(directory / "trg.vec", Lexicon(trg_words), EmbeddingMatrix(d, T))
+    with open(directory / "gold.tsv", "w", encoding="utf-8") as fh:
+        for j, w in enumerate(src_words):
+            fh.write(f"{w}\t{trg_words[inv[j]]}\n")
+    return {
+        "src": str(directory / "src.vec"),
+        "trg": str(directory / "trg.vec"),
+        "gold": str(directory / "gold.tsv"),
+        "src_words": src_words,
+        "trg_words": trg_words,
+        "inv": inv,
+    }

@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graph_edges, graph_from_dense, pairs, random_sparse_graph
+from conftest import graph, graph_edges, graph_from_dense, pairs, random_sparse_graph
 from lexmatch.assignment import (
     Matching,
     brute_force_matching,
     hungarian_dense,
     solve_sparse_lap,
 )
-from lexmatch.candidates import CandidateGraph
 
 
 class TestMatching:
@@ -77,7 +76,7 @@ class TestHungarianDense:
 class TestSolveSparseLap:
     def test_single_edge(self):
         """One edge in a 3x3 graph is taken; everything else stays unmatched."""
-        g = CandidateGraph.from_lists(3, 3, [[(0, 1.5)], [], []])
+        g = graph(3, 3, [[(0, 1.5)], [], []])
         m = solve_sparse_lap(g)
         assert pairs(m) == [(0, 0)]
         assert m.total_weight == pytest.approx(1.5)
@@ -92,31 +91,31 @@ class TestSolveSparseLap:
         assert m.total_weight == pytest.approx(4.0)
 
     def test_empty_graph(self):
-        g = CandidateGraph.from_lists(2, 2, [[], []])
+        g = graph(2, 2, [[], []])
         m = solve_sparse_lap(g)
         assert pairs(m) == []
         assert m.total_weight == 0.0
 
     def test_disjoint_edges_all_selected(self):
         """One edge per source on distinct targets conflicts with nothing."""
-        g = CandidateGraph.from_lists(3, 3, [[(2, 0.2)], [(0, 0.4)], [(1, 0.6)]])
+        g = graph(3, 3, [[(2, 0.2)], [(0, 0.4)], [(1, 0.6)]])
         m = solve_sparse_lap(g)
         assert pairs(m) == [(0, 1), (1, 2), (2, 0)]
         assert m.total_weight == pytest.approx(1.2)
 
     def test_rejects_negative_weights(self):
-        g = CandidateGraph.from_lists(1, 1, [[(0, -0.5)]])
+        g = graph(1, 1, [[(0, -0.5)]])
         with pytest.raises(ValueError, match="negative"):
             solve_sparse_lap(g)
 
     def test_rejects_duplicate_edges(self):
-        g = CandidateGraph.from_lists(1, 2, [[(0, 0.5), (0, 0.7)]])
+        g = graph(1, 2, [[(0, 0.5), (0, 0.7)]])
         with pytest.raises(ValueError):
             solve_sparse_lap(g)
 
     def test_equal_weight_tie_takes_lower_target(self):
         """A source indifferent between two targets lands on the lower id."""
-        g = CandidateGraph.from_lists(1, 2, [[(0, 0.5), (1, 0.5)]])
+        g = graph(1, 2, [[(0, 0.5), (1, 0.5)]])
         m = solve_sparse_lap(g)
         assert pairs(m) == [(0, 0)]
 
@@ -168,7 +167,7 @@ class TestSolveSparseLap:
         for j in range(g.n_src):
             t, w = g.edges_of(j)
             lists[new_id[j]] = list(zip(t.tolist(), w.tolist()))
-        padded = CandidateGraph.from_lists(g.n_src + pad, g.n_trg, lists)
+        padded = graph(g.n_src + pad, g.n_trg, lists)
         m = solve_sparse_lap(g)
         mp = solve_sparse_lap(padded)
         assert pairs(mp) == [(i, int(new_id[j])) for i, j in pairs(m)]
@@ -200,6 +199,6 @@ class TestBruteForce:
             assert sum(w for _, _, w in chosen) <= best.total_weight + 1e-12
 
     def test_size_cap(self):
-        g = CandidateGraph.from_lists(9, 8, [[] for _ in range(9)])
+        g = graph(9, 8, [[] for _ in range(9)])
         with pytest.raises(ValueError):
             brute_force_matching(g)

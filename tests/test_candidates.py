@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graph_edges, random_orthogonal, random_unit_matrix, unit_columns
-from lexmatch.candidates import CandidateGraph, build_candidates, edge_weight
+from conftest import graph, graph_edges, random_orthogonal, random_unit_matrix, unit_columns
+from lexmatch.candidates import build_candidates, edge_weight
 from lexmatch.em import ModelParams
 
 IDENT2 = ModelParams(np.eye(2), np.zeros(2))
@@ -171,16 +171,16 @@ class TestBuildCandidates:
 
 class TestCandidateGraph:
     def test_validate_rejects_out_of_range_target(self):
-        g = CandidateGraph.from_lists(1, 2, [[(5, 1.0)]])
+        g = graph(1, 2, [[(5, 1.0)]])
         with pytest.raises(ValueError):
             g.validate()
 
     def test_duplicate_edge_detected(self):
-        g = CandidateGraph.from_lists(1, 3, [[(1, 0.5), (1, 0.7)]])
+        g = graph(1, 3, [[(1, 0.5), (1, 0.7)]])
         with pytest.raises(ValueError):
             g.check_no_duplicates()
 
     def test_edges_of_order(self):
         """Each source's edges keep their adjacency order."""
-        g = CandidateGraph.from_lists(2, 3, [[(2, 0.9), (0, 0.1)], [(1, 0.4)]])
+        g = graph(2, 3, [[(2, 0.9), (0, 0.1)], [(1, 0.4)]])
         assert graph_edges(g) == [(2, 0, 0.9), (0, 0, 0.1), (1, 1, 0.4)]

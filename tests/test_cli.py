@@ -4,46 +4,16 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_orthogonal, unit_columns, write_vec
+from conftest import unit_columns, write_planted_numerals
 from lexmatch.cli import main
 from lexmatch.em import ModelParams, save_model
-from lexmatch.embeddings import NORM_UNIT
+from lexmatch.embeddings import NORM_UNIT, EmbeddingMatrix, Lexicon, save_embeddings
 
 
 @pytest.fixture(scope="module")
 def planted(tmp_path_factory):
-    """Noiseless rotated permutation of 40 words with 8 shared numerals.
-
-    The numeral words sit at ids 0..7 on both sides so they survive any
-    vocabulary truncation a test applies.
-    """
-    tmp = tmp_path_factory.mktemp("planted")
-    rng = np.random.default_rng(42)
-    n, d = 40, 8
-    S = unit_columns(rng.standard_normal((d, n)))
-    R = random_orthogonal(d, rng)
-    perm = np.concatenate([np.arange(8), 8 + rng.permutation(n - 8)])
-    T = unit_columns(R @ S[:, perm])
-    src_words = [str(1990 + j) if j < 8 else f"s{j}" for j in range(n)]
-    trg_words = [
-        str(1990 + perm[i]) if perm[i] < 8 else f"t{perm[i]}" for i in range(n)
-    ]
-    inv = np.empty(n, dtype=int)
-    inv[perm] = np.arange(n)
-    write_vec(tmp / "src.vec", src_words, S)
-    write_vec(tmp / "trg.vec", trg_words, T)
-    with open(tmp / "gold.tsv", "w", encoding="utf-8") as fh:
-        for j, w in enumerate(src_words):
-            fh.write(f"{w}\t{trg_words[inv[j]]}\n")
-    return {
-        "dir": tmp,
-        "src": str(tmp / "src.vec"),
-        "trg": str(tmp / "trg.vec"),
-        "gold": str(tmp / "gold.tsv"),
-        "src_words": src_words,
-        "trg_words": trg_words,
-        "inv": inv,
-    }
+    """The 40-word numeral-planted pair of files (see write_planted_numerals)."""
+    return write_planted_numerals(tmp_path_factory.mktemp("planted"))
 
 
 def induce(planted, out_dir, *extra):
@@ -128,6 +98,20 @@ class TestInduce:
             assert planted["src_words"].index(s) < 20
             assert planted["trg_words"].index(t) < 20
 
+    def test_identical_seed_recovers_planted_dictionary(self, planted, tmp_path):
+        """--seed identical pairs the 8 numerals both files share and
+        recovers the planted word mapping."""
+        assert induce(planted, tmp_path, "--seed", "identical") == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["seed_dictionary"]["provenance"] == "identical"
+        assert report["seed_dictionary"]["pairs"] == 8
+        rows = [
+            tuple(line.split("\t")[:2])
+            for line in (tmp_path / "dict.tsv").read_text().splitlines()
+        ]
+        words_s, words_t, inv = planted["src_words"], planted["trg_words"], planted["inv"]
+        assert sorted(rows) == sorted((w, words_t[inv[j]]) for j, w in enumerate(words_s))
+
     def test_one_to_many_prior_runs(self, planted, tmp_path):
         assert induce(planted, tmp_path, "--prior", "1:many") == 0
         report = json.loads((tmp_path / "report.json").read_text())
@@ -161,6 +145,21 @@ class TestInduce:
         ])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_blank_embedding_row_fails_with_line(self, planted, tmp_path, capsys):
+        """A blank line among the declared rows is a one-line error naming it."""
+        blank = tmp_path / "blank.vec"
+        blank.write_text("3 2\na 1 0\n\nb 0 1\n")
+        rc = main([
+            "induce",
+            "--src-emb", str(blank),
+            "--trg-emb", planted["trg"],
+            "--seed", "numerals",
+            "--out-dict", str(tmp_path / "d.tsv"),
+            "--quiet",
+        ])
+        assert rc == 1
+        assert "error: line 3: expected 2 values" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -202,8 +201,8 @@ class TestEvaluate:
         cos = np.array([0.2, 0.9, 0.5])
         T = np.vstack([cos, np.sqrt(1 - cos**2)])
         S = np.tile(np.array([[1.0], [0.0]]), (1, 3))
-        write_vec(tmp_path / "s.vec", ["a", "b", "c"], S)
-        write_vec(tmp_path / "t.vec", ["X", "Y", "Z"], T)
+        save_embeddings(tmp_path / "s.vec", Lexicon(["a", "b", "c"]), EmbeddingMatrix(2, S))
+        save_embeddings(tmp_path / "t.vec", Lexicon(["X", "Y", "Z"]), EmbeddingMatrix(2, T))
         save_model(str(tmp_path / "m.npz"), ModelParams(np.eye(2), np.zeros(2)), NORM_UNIT)
         (tmp_path / "ws.tsv").write_text("a\tX\t1\nb\tY\t2\nc\tZ\t3\n")
         rc = main([
@@ -249,8 +248,9 @@ class TestHubness:
     def hub_dir(self, tmp_path):
         """Three queries hugging e1, two targets on the axes."""
         S = unit_columns(np.array([[0.99, 0.98, 0.97], [0.1, 0.2, 0.24]]))
-        write_vec(tmp_path / "s.vec", ["q0", "q1", "q2"], S)
-        write_vec(tmp_path / "t.vec", ["hub", "spoke"], np.eye(2))
+        save_embeddings(tmp_path / "s.vec", Lexicon(["q0", "q1", "q2"]), EmbeddingMatrix(2, S))
+        save_embeddings(tmp_path / "t.vec", Lexicon(["hub", "spoke"]),
+                        EmbeddingMatrix(2, np.eye(2)))
         save_model(str(tmp_path / "m.npz"), ModelParams(np.eye(2), np.zeros(2)), NORM_UNIT)
         (tmp_path / "queries.tsv").write_text("q0\tx\nq1\tx\nq2\tx\n")
         return tmp_path

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    graph,
     graph_from_dense,
     pairs,
     planted_instance,
@@ -16,7 +17,6 @@ from conftest import (
     unit_columns,
 )
 from lexmatch.assignment import Matching, brute_force_matching, solve_sparse_lap
-from lexmatch.candidates import CandidateGraph
 from lexmatch.em import (
     PRIOR_CAPS,
     PRIOR_ONE_TO_MANY,
@@ -218,7 +218,7 @@ class TestMStep:
 
 class TestDuplicateAndMerge:
     def one_edge_graph(self):
-        return CandidateGraph.from_lists(1, 1, [[(0, 0.4)]])
+        return graph(1, 1, [[(0, 0.4)]])
 
     def test_two_to_two_dedups(self):
         """2:2 copies may pair both clones; the merge reports the edge once."""
@@ -233,7 +233,7 @@ class TestDuplicateAndMerge:
 
     def test_one_to_two_keeps_both_targets(self):
         """1:2 lets one source serve two targets through its clone."""
-        g = CandidateGraph.from_lists(1, 2, [[(0, 0.4), (1, 0.3)]])
+        g = graph(1, 2, [[(0, 0.4), (1, 0.3)]])
         g2, merge = duplicate_and_merge(g, PRIOR_ONE_TO_TWO)
         assert g2.n_src == 2 and g2.n_trg == 2
         from lexmatch.assignment import solve_sparse_lap
@@ -262,7 +262,7 @@ class TestDuplicateAndMerge:
             t, w = g.edges_of(j)
             order = rng.permutation(t.size)
             lists.append(list(zip(t[order].tolist(), w[order].tolist())))
-        g = CandidateGraph.from_lists(ns, nt, lists)
+        g = graph(ns, nt, lists)
         for prior in (PRIOR_ONE_TO_TWO, PRIOR_TWO_TO_TWO):
             both = prior == PRIOR_TWO_TO_TWO
             expanded, merge = duplicate_and_merge(g, prior)

@@ -10,7 +10,6 @@ from lexmatch.embeddings import (
     EmbeddingMatrix,
     Lexicon,
     load_embeddings,
-    normalize,
     normalize_pair,
     save_embeddings,
 )
@@ -100,6 +99,12 @@ class TestLoadEmbeddings:
         with pytest.raises(ValueError, match="line 3"):
             load_embeddings(path)
 
+    def test_blank_row_reports_line(self, tmp_path):
+        """A blank line among the declared rows fails the value count, naming its line."""
+        path = self.write(tmp_path, "3 2\na 1 0\n\nb 0 1\n")
+        with pytest.raises(ValueError, match="line 3: expected 2 values"):
+            load_embeddings(path)
+
     def test_non_finite_value_rejected(self, tmp_path):
         path = self.write(tmp_path, "1 2\na nan 0\n")
         with pytest.raises(ValueError, match="line 2"):
@@ -133,31 +138,31 @@ class TestNormalize:
     def test_unit_scales_columns(self):
         """Column (3,4) becomes (0.6, 0.8)."""
         mat = EmbeddingMatrix(2, np.array([[3.0], [4.0]]))
-        out = normalize(mat, NORM_UNIT)
+        _, out = normalize_pair(Lexicon(["a"]), mat, NORM_UNIT)
         np.testing.assert_allclose(out.data[:, 0], [0.6, 0.8])
 
     def test_none_is_bitwise_identity(self):
         rng = np.random.default_rng(42)
         mat = EmbeddingMatrix(3, rng.standard_normal((3, 5)))
-        out = normalize(mat, NORM_NONE)
+        _, out = normalize_pair(Lexicon(list("abcde")), mat, NORM_NONE)
         assert np.array_equal(out.data, mat.data)
 
     def test_unit_center_unit_two_columns(self):
         """Hand-worked 2-column case: unit, subtract the mean, unit again."""
         mat = EmbeddingMatrix(2, np.array([[1.0, 0.0], [0.0, 1.0]]))
-        out = normalize(mat, NORM_UNIT_CENTER_UNIT)
+        _, out = normalize_pair(Lexicon(["a", "b"]), mat, NORM_UNIT_CENTER_UNIT)
         np.testing.assert_allclose(out.data[:, 0], [ROOT2, -ROOT2], atol=1e-12)
         np.testing.assert_allclose(out.data[:, 1], [-ROOT2, ROOT2], atol=1e-12)
 
     def test_unknown_scheme_rejected(self):
         mat = EmbeddingMatrix(2, np.eye(2))
         with pytest.raises(ValueError):
-            normalize(mat, "l2")
+            normalize_pair(Lexicon(["a", "b"]), mat, "l2")
 
     def test_zero_column_error_names_word(self):
         mat = EmbeddingMatrix(2, np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="'zed'"):
-            normalize(mat, NORM_UNIT, words=["ok", "zed"])
+            normalize_pair(Lexicon(["ok", "zed"]), mat, NORM_UNIT)
 
     def test_drop_zero_removes_from_both_sides(self):
         """normalize_pair(drop_zero=True) drops zero vectors and their words."""
@@ -173,7 +178,8 @@ class TestNormalize:
         """Applying unit normalization twice equals applying it once."""
         rng = np.random.default_rng(seed)
         mat = EmbeddingMatrix(4, rng.standard_normal((4, 6)) + 0.1)
-        once = normalize(mat, NORM_UNIT)
-        twice = normalize(once, NORM_UNIT)
+        lex = Lexicon(list("abcdef"))
+        _, once = normalize_pair(lex, mat, NORM_UNIT)
+        _, twice = normalize_pair(lex, once, NORM_UNIT)
         np.testing.assert_allclose(twice.data, once.data, atol=1e-15)
         np.testing.assert_allclose(np.linalg.norm(once.data, axis=0), 1.0)

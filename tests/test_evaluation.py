@@ -175,7 +175,7 @@ class TestHubness:
         T = EmbeddingMatrix(2, np.eye(2))
         report = hubness(IDENT2, S, EmbeddingMatrix(2, T.data), [0, 1, 2], k=1)
         assert report.counts.tolist() == [3, 0]
-        assert report.max_count() == 3
+        assert int(report.counts.max()) == 3
         assert report.sorted_entries() == [(0, 3), (1, 0)]
 
     def test_isolated_target_counts_zero(self):

@@ -92,18 +92,11 @@ class TestSeedIdentical:
         assert seed.pairs == [(0, 1)]
 
     def test_case_sensitive_by_default(self):
-        """Berlin and berlin differ unless case folding is requested."""
+        """Berlin and berlin are different strings."""
         src = Lexicon(["Berlin"])
         trg = Lexicon(["berlin"])
         with pytest.raises(ValueError):
             seed_identical(src, trg)
-
-    def test_case_fold_uses_lowest_id_representative(self):
-        """Folded duplicates collapse onto the earliest word of each side."""
-        src = Lexicon(["BERLIN", "Berlin", "x"])
-        trg = Lexicon(["zzz", "berlin", "Berlin"])
-        seed = seed_identical(src, trg, case_fold=True)
-        assert seed.pairs == [(0, 1)]
 
     def test_disjoint_vocabularies_rejected(self):
         with pytest.raises(ValueError):
