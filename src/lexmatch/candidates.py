@@ -12,6 +12,7 @@ so the graph is sparsified by exact blocked top-k followed by pruning.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -163,10 +164,15 @@ def score_top_k(
         return np.zeros((nq, kk), dtype=np.int64), np.zeros((nq, kk))
     rows = max(1, BLOCK_ELEMENTS // nc)
     spans = [(lo, min(lo + rows, nq)) for lo in range(0, nq, rows)]
+    # each thread scores all its blocks into one buffer: a new block per span
+    # would be mapped afresh and page-faulted in, up to 32 MB every time
+    buffers = threading.local()
 
     def run_span(span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = span
-        scores = Q[:, lo:hi].T @ C
+        if not hasattr(buffers, "scores"):
+            buffers.scores = np.empty((min(rows, nq), nc), dtype=np.result_type(Q, C))
+        scores = np.matmul(Q[:, lo:hi].T, C, out=buffers.scores[: hi - lo])
         if c_offset is not None:
             scores += c_offset
         idx, val = _select_rows(scores, kk)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import logging
 import sys
@@ -291,7 +293,40 @@ def cmd_query(args) -> int:
     return 0
 
 
+# glibc's mallopt parameter numbers, and the value this process sets for both
+_M_TOP_PAD = -2
+_M_MMAP_THRESHOLD = -3
+_MALLOC_BYTES = 8 << 20
+
+
+@functools.cache
+def _fix_mmap_threshold() -> bool:
+    """Fix glibc's mmap threshold and heap top pad at _MALLOC_BYTES for this process.
+
+    By default glibc raises the threshold to the size of each mapped block
+    it frees, up to 32 MiB, so whether an embedding-sized array (12 MB at
+    5000 x 300) gets its own mapping or a piece of the heap, where it stays
+    resident after free, depends on what the process freed before.  The
+    commands' peak resident set then moves by tens of MB with allocation
+    order alone.  A fixed threshold maps every array of 8 MiB or more on its
+    own and unmaps it when freed.  It also stops the heap's trim threshold
+    from rising with it, so free memory at the top of the heap would go back
+    to the OS past 128 KB and be faulted in again by the next temporary; the
+    top pad keeps 8 MiB of it.  Returns False, changing nothing, where
+    mallopt is not available.
+    """
+    if not sys.platform.startswith("linux"):
+        return False
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    return (mallopt(_M_MMAP_THRESHOLD, _MALLOC_BYTES) == 1
+            and mallopt(_M_TOP_PAD, _MALLOC_BYTES) == 1)
+
+
 def main(argv=None) -> int:
+    _fix_mmap_threshold()
     args = build_parser().parse_args(argv)
     level = logging.WARNING if getattr(args, "quiet", False) else logging.INFO
     logging.basicConfig(level=level, format="%(message)s", stream=sys.stderr)

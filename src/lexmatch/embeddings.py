@@ -9,7 +9,9 @@ word2vec text format: a "n d" header line followed by n lines of
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -72,17 +74,32 @@ class EmbeddingMatrix:
         return self.data.shape[1]
 
 
+# a bulk block holds BLOCK_VALUES // dim rows (at least one), so its parsed
+# values take at most 64 KB whatever the dimension
+BLOCK_VALUES = 8192
+# separators that np.loadtxt skips around a number as whitespace but float()
+# rejects; a block holding one is left to the row parser
+_LOADTXT_ONLY_SPACE = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
 def load_embeddings(
     path: str, max_vocab: int | None = None
 ) -> tuple[Lexicon, EmbeddingMatrix]:
     """Read word2vec text format into float64.
 
-    Tolerates \\r\\n line endings, a missing trailing newline and blank
-    trailing lines.  Raises ValueError with a 1-based line number for a
-    malformed header, a row whose value count disagrees with the header
-    dimension, a duplicate word, a non-finite value, or a row past the
-    header's count.  max_vocab keeps only the first rows, i.e. the most
+    The accepted values are exactly Python float() syntax, finite only.
+    Tolerates \\r\\n line endings, one trailing space before the line end,
+    a missing trailing newline and blank trailing lines.  Raises ValueError
+    with a 1-based line number for a malformed header, a row whose value
+    count disagrees with the header dimension, a duplicate word, an
+    unparseable or non-finite value, a file shorter than the header's count,
+    or a row past it.  max_vocab keeps only the first rows, i.e. the most
     frequent words in frequency-sorted files, and ignores the rest.
+
+    The rows are read forward only (a pipe works) in blocks of
+    BLOCK_VALUES // dim lines, each parsed by one np.loadtxt call.  A block
+    that this bulk parse does not take whole goes through _parse_rows, the
+    row parser that defines what is accepted and words every error.
     """
     words: list[str] = []
     seen: dict[str, int] = {}
@@ -104,32 +121,18 @@ def load_embeddings(
 
         n_keep = n_declared if max_vocab is None else min(n_declared, max_vocab)
         data = np.empty((n_keep, dim))
-        for row in range(n_keep):
-            lineno = row + 2
-            line = fh.readline()
-            if not line:
-                raise ValueError(f"line {lineno}: unexpected end of file, header declared {n_declared} rows")
-            fields = line.rstrip("\r\n").split(" ")
-            # tolerate a trailing space before the newline; a blank line keeps
-            # its one empty field and fails the count check below
-            if len(fields) > 1 and fields[-1] == "":
-                fields.pop()
-            if len(fields) != dim + 1:
+        block_rows = max(1, BLOCK_VALUES // dim)
+        for lo in range(0, n_keep, block_rows):
+            want = min(block_rows, n_keep - lo)
+            lines = list(islice(fh, want))
+            rows = data[lo : lo + len(lines)]
+            if not _bulk_rows(lines, lo + 2, rows, words, seen):
+                _parse_rows(lines, lo + 2, rows, words, seen)
+            if len(lines) < want:
                 raise ValueError(
-                    f"line {lineno}: expected {dim} values for word {fields[0]!r}, got {len(fields) - 1}"
+                    f"line {lo + len(lines) + 2}: unexpected end of file, "
+                    f"header declared {n_declared} rows"
                 )
-            word = fields[0]
-            if word in seen:
-                raise ValueError(f"line {lineno}: duplicate word {word!r} (first at line {seen[word]})")
-            seen[word] = lineno
-            try:
-                vec = np.asarray(fields[1:], dtype=np.float64)
-            except ValueError:
-                raise ValueError(f"line {lineno}: unparseable value for word {word!r}") from None
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"line {lineno}: non-finite value for word {word!r}")
-            words.append(word)
-            data[row] = vec
         if max_vocab is None:
             for lineno, line in enumerate(fh, start=n_keep + 2):
                 if line.strip():
@@ -138,6 +141,84 @@ def load_embeddings(
                     )
 
     return Lexicon(words), EmbeddingMatrix(dim, data.T)
+
+
+def _parse_rows(
+    lines: list[str], first_line: int, out: np.ndarray, words: list[str], seen: dict[str, int]
+) -> None:
+    """Parse lines one at a time into the rows of out; lines[0] is file line first_line.
+
+    Appends each word to words and records its line in seen.  Raises the
+    first row's error in file order.
+    """
+    dim = out.shape[1]
+    for row, line in enumerate(lines):
+        lineno = first_line + row
+        fields = line.rstrip("\r\n").split(" ")
+        # tolerate a trailing space before the newline; a blank line keeps
+        # its one empty field and fails the count check below
+        if len(fields) > 1 and fields[-1] == "":
+            fields.pop()
+        if len(fields) != dim + 1:
+            raise ValueError(
+                f"line {lineno}: expected {dim} values for word {fields[0]!r}, got {len(fields) - 1}"
+            )
+        word = fields[0]
+        if word in seen:
+            raise ValueError(f"line {lineno}: duplicate word {word!r} (first at line {seen[word]})")
+        seen[word] = lineno
+        try:
+            vec = np.asarray(fields[1:], dtype=np.float64)
+        except ValueError:
+            raise ValueError(f"line {lineno}: unparseable value for word {word!r}") from None
+        if not np.all(np.isfinite(vec)):
+            raise ValueError(f"line {lineno}: non-finite value for word {word!r}")
+        words.append(word)
+        out[row] = vec
+
+
+def _bulk_rows(
+    lines: list[str], first_line: int, out: np.ndarray, words: list[str], seen: dict[str, int]
+) -> bool:
+    """Parse lines into out with one np.loadtxt call, as _parse_rows would.
+
+    Returns False, leaving words and seen untouched, unless every line
+    splits at its first space into a new word and exactly out.shape[1]
+    finite values.  Once the separators in _LOADTXT_ONLY_SPACE are ruled
+    out, loadtxt reads a subset of float() syntax (no underscores, ASCII
+    digits only) to the same float64, so what it takes _parse_rows takes
+    too, with the same values.
+    """
+    text = "".join(lines)
+    if any(c in text for c in _LOADTXT_ONLY_SPACE):
+        return False
+    block_words = []
+    values = []
+    for line in lines:
+        word, sep, vals = line.rstrip("\r\n").partition(" ")
+        if not sep:
+            return False
+        block_words.append(word)
+        # the one trailing space that _parse_rows drops
+        values.append(vals[:-1] if vals.endswith(" ") else vals)
+    with warnings.catch_warnings():
+        # all-blank value parts warn "input contained no data"; the shape
+        # check rejects them
+        warnings.simplefilter("ignore")
+        try:
+            vecs = np.loadtxt(
+                values, delimiter=" ", comments=None, ndmin=2, max_rows=len(values)
+            )
+        except ValueError:
+            return False
+    if vecs.shape != out.shape or not np.isfinite(vecs).all():
+        return False
+    if len(set(block_words)) < len(block_words) or not seen.keys().isdisjoint(block_words):
+        return False
+    seen.update(zip(block_words, range(first_line, first_line + len(lines))))
+    words.extend(block_words)
+    out[...] = vecs
+    return True
 
 
 def save_embeddings(path: str, lexicon: Lexicon, matrix: EmbeddingMatrix) -> None:

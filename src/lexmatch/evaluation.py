@@ -182,12 +182,11 @@ class HubnessReport:
     """Neighborhood occupancy counts N_k(y) per target id y.
 
     counts[y] is the number of queries having y among their k nearest
-    targets by cosine; sum(counts) == k * n_queries whenever k <= n_trg.
+    targets by cosine; the counts sum to k times the number of queries
+    whenever k <= n_trg.
     """
 
     counts: np.ndarray
-    k: int
-    n_queries: int
 
     def sorted_entries(self) -> list[tuple[int, int]]:
         """(target id, count) sorted by descending count, then lower id."""
@@ -216,4 +215,4 @@ def hubness(
         raise ValueError(f"k = {k} exceeds target vocabulary size {T.n_words}")
     nn_idx, _ = _top_cosines(params, S, T, idx, k)
     counts = np.bincount(nn_idx.ravel(), minlength=T.n_words)
-    return HubnessReport(counts, k, int(idx.size))
+    return HubnessReport(counts)

@@ -1,10 +1,16 @@
+import ctypes
 import io
 import json
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import unit_columns, write_planted_numerals
+import lexmatch.cli
 from lexmatch.cli import main
 from lexmatch.em import ModelParams, save_model
 from lexmatch.embeddings import NORM_UNIT, EmbeddingMatrix, Lexicon, save_embeddings
@@ -341,3 +347,45 @@ class TestQuery:
         rc = main(self.base_args(planted, model))
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+# run in a fresh interpreter: a heap that earlier tests left with large free
+# chunks could serve the block without any mapping
+_MAPPED_PROBE = """
+import ctypes
+import lexmatch.cli
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd",
+        "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+libc = ctypes.CDLL(None)
+libc.malloc.restype = ctypes.c_void_p
+libc.free.argtypes = [ctypes.c_void_p]
+libc.mallinfo2.restype = MallInfo2
+assert lexmatch.cli._fix_mmap_threshold()
+libc.free(libc.malloc(16 << 20))
+mapped = libc.mallinfo2().hblkhd
+block = libc.malloc(12 << 20)
+grown = libc.mallinfo2().hblkhd - mapped
+libc.free(block)
+print(grown, libc.mallinfo2().hblkhd - mapped)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_large_blocks_stay_mapped_after_a_larger_one_is_freed():
+    """Freeing a 16 MiB block does not move a 12 MiB one onto the heap.
+
+    glibc's default would raise its mmap threshold to 16 MiB on that free.
+    """
+    if not hasattr(ctypes.CDLL(None), "mallinfo2"):
+        pytest.skip("glibc before 2.33 has no mallinfo2")
+    src = os.path.dirname(os.path.dirname(lexmatch.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _MAPPED_PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    grown, left = map(int, out.split())
+    assert grown >= 12 << 20
+    assert left == 0

@@ -1,8 +1,14 @@
+import os
+import threading
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lexmatch import embeddings
 from lexmatch.embeddings import (
     NORM_NONE,
     NORM_UNIT,
@@ -132,6 +138,157 @@ class TestLoadEmbeddings:
         lex, mat = load_embeddings(path)
         assert lex.words == words
         np.testing.assert_array_equal(mat.data, data)
+
+
+# tokens beside plain floats: odd spellings float() reads (1_0, a non-ASCII
+# digit, surrounding whitespace, signs), values it rejects or that are not
+# finite, an empty field from a double space, and a separator np.loadtxt
+# skips but float() does not
+ODD_TOKENS = [
+    "0.0", "-0.0", "+0.0", "+1", "1e5", "-2.5E-3", "1.", ".5", "1_0", "١",
+    "\t1", "1\x0c", "1\x1c", "nan", "inf", "-inf", "1e309", "", "x", "1e",
+    "0x1", "1,5",
+]
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def word2vec_files(draw):
+    """A word2vec text file, clean or with odd rows, plus a max_vocab.
+
+    An odd row may repeat or empty its word, and may carry one of: an odd
+    token, a value too few or too many, a blank line before it, or two
+    trailing spaces.  Most odd rows change nothing else, so many blocks
+    still reach the bulk parse whole.
+    """
+    dim = draw(st.integers(1, 4))
+    odd = draw(st.booleans())
+    token = st.one_of(FINITE.map(repr), FINITE.map(lambda x: f"{x:.6f}"))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    n_rows = draw(st.integers(0, 8))
+    lines = []
+    for i in range(n_rows):
+        word = f"w{i}"
+        values = draw(st.lists(token, min_size=dim, max_size=dim))
+        trail = draw(st.sampled_from(["", " "]))
+        if odd:
+            word = draw(st.sampled_from([word] * 4 + ["w0", "w3", "", "é"]))
+            kind = draw(st.integers(0, 11))
+            if kind == 0:
+                values[draw(st.integers(0, dim - 1))] = draw(st.sampled_from(ODD_TOKENS))
+            elif kind == 1:
+                values = values[:-1]
+            elif kind == 2:
+                values.append(draw(token))
+            elif kind == 3:
+                lines.append(draw(st.sampled_from(["", " "])) + eol)
+            elif kind == 4:
+                trail = "  "
+        lines.append(" ".join([word, *values]) + trail + eol)
+    n_declared = n_rows
+    if odd:
+        n_declared = max(0, n_rows + draw(st.integers(-1, 2)))
+    text = f"{n_declared} {dim}{eol}" + "".join(lines)
+    text += draw(st.sampled_from(["", eol, eol + eol, " " + eol]))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    max_vocab = draw(st.one_of(st.none(), st.integers(0, n_rows + 1)))
+    return text, dim, max_vocab
+
+
+def load_outcome(path, max_vocab):
+    """(words, float64 bytes) of a load, or the error it raises."""
+    try:
+        lex, mat = load_embeddings(path, max_vocab=max_vocab)
+    except ValueError as exc:
+        return "error", str(exc)
+    return lex.words, mat.data.shape, mat.data.tobytes()
+
+
+class TestBulkParse:
+    """The block-wise bulk parse gives exactly what the row parser alone gives."""
+
+    def write(self, tmp_path, text):
+        p = tmp_path / "emb.vec"
+        p.write_bytes(text.encode("utf-8"))
+        return str(p)
+
+    @settings(deadline=None, max_examples=400)
+    @given(file=word2vec_files(), block_rows=st.integers(1, 3))
+    # a word repeated from an earlier block, and a separator loadtxt skips
+    @example(file=("2 1\nw0 1\nw0 2\n", 1, None), block_rows=1)
+    @example(file=("2 1\nw0 1\nw1 1\x1c\n", 1, None), block_rows=1)
+    def test_matches_row_parser(self, tmp_path_factory, file, block_rows):
+        """Same words and float64 bytes, or the same error text, as the row
+        parser applied to every row; blocks of 1-3 rows put failures,
+        duplicates and the file's end in later blocks."""
+        text, dim, max_vocab = file
+        path = self.write(tmp_path_factory.getbasetemp(), text)
+        with mock.patch.object(embeddings, "_bulk_rows", return_value=False):
+            expected = load_outcome(path, max_vocab)
+        with mock.patch.object(embeddings, "BLOCK_VALUES", block_rows * dim):
+            assert load_outcome(path, max_vocab) == expected
+
+    @pytest.mark.parametrize("trail", ["", " "])
+    def test_clean_rows_skip_row_parser(self, tmp_path, trail):
+        """Plain rows, with or without the trailing space word2vec writes,
+        never reach the row parser."""
+        text = "".join(f"w{i} {i}.5 -1e-3 0{trail}\n" for i in range(50))
+        path = self.write(tmp_path, "50 3\n" + text)
+        with mock.patch.object(embeddings, "BLOCK_VALUES", 3 * 7), \
+                mock.patch.object(embeddings, "_parse_rows", side_effect=AssertionError):
+            lex, mat = load_embeddings(path)
+        assert lex.words == [f"w{i}" for i in range(50)]
+        np.testing.assert_array_equal(mat.data[0], np.arange(50) + 0.5)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("2 3\na 1 0 0\nb 0 1 0\n", (["a", "b"], [[1, 0], [0, 1], [0, 0]])),
+        ("2 2\na 1_0 0\nb 0 1\n", (["a", "b"], [[10, 0], [0, 1]])),
+        ("3 2\na 1 0\nb x 1\nc 0 1\n", "line 3: unparseable value for word 'b'"),
+    ])
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_pipe_input(self, text, expected):
+        """A pipe (as from `--src-emb <(zcat x.vec.gz)`) loads, falls back and
+        fails as a regular file does: the loader never seeks."""
+        r, w = os.pipe()
+
+        def feed():
+            with os.fdopen(w, "wb") as fh:
+                fh.write(text.encode("utf-8"))
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            if isinstance(expected, str):
+                with pytest.raises(ValueError, match=expected):
+                    load_embeddings(f"/dev/fd/{r}")
+            else:
+                lex, mat = load_embeddings(f"/dev/fd/{r}")
+                assert lex.words == expected[0]
+                np.testing.assert_array_equal(mat.data, expected[1])
+        finally:
+            writer.join(timeout=10)
+            os.close(r)
+        assert not writer.is_alive()
+
+    @pytest.mark.parametrize("text, expected", [
+        ("0 3\n", ([], (3, 0))),
+        ("3 2\na 1 0\n\nb 0 1\n", "line 3: expected 2 values for word '', got 0"),
+        ("2 2\na \nb \n", "line 2: expected 2 values for word 'a', got 0"),
+        ("2 2\na 1_0 0\nb 0 1\n", (["a", "b"], (2, 2))),
+    ])
+    def test_no_warnings(self, tmp_path, capfd, text, expected):
+        """Blank value parts and fallback blocks warn nothing and print nothing."""
+        path = self.write(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if isinstance(expected, str):
+                with pytest.raises(ValueError, match=expected):
+                    load_embeddings(path)
+            else:
+                lex, mat = load_embeddings(path)
+                assert (lex.words, mat.data.shape) == expected
+        assert capfd.readouterr() == ("", "")
 
 
 class TestNormalize:
