@@ -102,90 +102,89 @@ def solve_sparse_lap(g: CandidateGraph) -> Matching:
     Dijkstra applies.  Sources are processed in index order and heap keys
     are (distance, column), so ties always resolve toward lower indices
     and runs are bit-for-bit reproducible.
+
+    Most searches end at the first pop.  A source's own columns are
+    distinct, so that pop is their smallest (distance, column) key; when its
+    column is free the source takes it without a heap, making the updates a
+    full search makes there, so results do not change.
     """
     g.check_no_duplicates()
     if g.n_edges and g.weights.min() < 0:
         raise ValueError("negative edge weight; prune candidates first")
 
     ns, nt = g.n_src, g.n_trg
+    n_cols = nt + ns  # col nt + j is the dummy column of source j
     bounds = g.indptr.tolist()
     all_targets = g.targets.tolist()
     all_costs = (-g.weights).tolist()
-    row_targets = [all_targets[bounds[j]:bounds[j + 1]] for j in range(ns)]
-    row_costs = [all_costs[bounds[j]:bounds[j + 1]] for j in range(ns)]
+    # a source without edges can only take its own dummy column, which no
+    # other source reaches, so it is never searched nor expanded
+    sources = np.flatnonzero(np.diff(g.indptr)).tolist()
+    row_cols: list[list[int]] = [[]] * ns
+    row_costs: list[list[float]] = [[]] * ns
+    for j in sources:  # each row ends with its dummy column at cost 0
+        row_cols[j] = all_targets[bounds[j]:bounds[j + 1]] + [nt + j]
+        row_costs[j] = all_costs[bounds[j]:bounds[j + 1]] + [0.0]
 
-    n_cols = nt + ns  # col nt + j is the dummy column of source j
     v = [0.0] * n_cols
     u = [0.0] * ns
     match_col = [-1] * n_cols  # col -> row
     row_col = [-1] * ns  # row -> col
+    # per-search state, back to these values once each search ends
+    best = [math.inf] * n_cols
+    done = [False] * n_cols
+    pred = [-1] * n_cols  # read only along the path just searched
 
-    # a source without edges can only take its own dummy column, which no
-    # other source reaches, so skipping it leaves the matching and duals as
-    # they would be
-    for j0 in np.flatnonzero(np.diff(g.indptr)).tolist():
-        dummy0 = nt + j0
-        u0 = -v[dummy0]
-        for i, c in zip(row_targets[j0], row_costs[j0]):
-            r = c - v[i]
-            if r < u0:
-                u0 = r
+    for j0 in sources:
+        u0 = min([c - v[i] for i, c in zip(row_cols[j0], row_costs[j0])])
+        heap = [(c - u0 - v[i], i) for i, c in zip(row_cols[j0], row_costs[j0])]
+        d, col = min(heap)
+        if match_col[col] == -1:
+            v[col] += d - d  # what a full search adds to its exit column
+            u[j0] = u0 + d
+            match_col[col] = j0
+            row_col[j0] = col
+            continue
 
-        dist_final: dict[int, float] = {}
-        best: dict[int, float] = {}
-        pred: dict[int, int] = {}
-        expanded: list[tuple[int, float]] = []
-        heap: list[tuple[float, int]] = []
-
-        def relax(col: int, d: float, from_row: int) -> None:
-            if col in dist_final:
-                return
-            cur = best.get(col)
-            if cur is None or d < cur:
-                best[col] = d
-                pred[col] = from_row
-                heapq.heappush(heap, (d, col))
-
-        relax(dummy0, -u0 - v[dummy0], j0)
-        for i, c in zip(row_targets[j0], row_costs[j0]):
-            relax(i, c - u0 - v[i], j0)
-
-        exit_col = -1
-        exit_dist = 0.0
-        while heap:
+        heapq.heapify(heap)
+        for d, col in heap:
+            best[col] = d
+            pred[col] = j0
+        final: list[tuple[int, float]] = []
+        while True:  # j0's own dummy column is free, so an exit is always found
             d, col = heapq.heappop(heap)
-            if col in dist_final:
+            if done[col]:
                 continue
-            dist_final[col] = d
-            if match_col[col] == -1:
-                exit_col, exit_dist = col, d
-                break
+            done[col] = True
+            final.append((col, d))
             r1 = match_col[col]
-            expanded.append((r1, d))
-            ur1 = u[r1]
-            for i, c in zip(row_targets[r1], row_costs[r1]):
-                relax(i, d + c - ur1 - v[i], r1)
-            dummy1 = nt + r1
-            relax(dummy1, d - ur1 - v[dummy1], r1)
-
-        # the dummy column guarantees an exit is always found
-        assert exit_col >= 0
-
-        for col, d in dist_final.items():
-            v[col] += d - exit_dist
-        for r1, d in expanded:
-            u[r1] += exit_dist - d
-        u[j0] = u0 + exit_dist
-
-        col = exit_col
-        while True:
-            r = pred[col]
-            prev_col = row_col[r]
-            match_col[col] = r
-            row_col[r] = col
-            if r == j0:
+            if r1 == -1:
                 break
-            col = prev_col
+            ur1 = u[r1]
+            for i, c in zip(row_cols[r1], row_costs[r1]):
+                if not done[i]:
+                    di = d + c - ur1 - v[i]
+                    if di < best[i]:
+                        best[i] = di
+                        pred[i] = r1
+                        heapq.heappush(heap, (di, i))
+
+        # every column given a distance is final or still on the heap
+        for _, i in heap:
+            best[i] = math.inf
+        for i, di in final:
+            v[i] += di - d
+            best[i] = math.inf
+            done[i] = False
+            r1 = match_col[i]
+            if r1 != -1:
+                u[r1] += d - di
+        u[j0] = u0 + d
+
+        while col != -1:  # the path ends at j0, which has no column yet
+            r = pred[col]
+            match_col[col] = r
+            row_col[r], col = col, row_col[r]
 
     # each matched source has exactly one edge to its column
     edge_src = np.repeat(np.arange(ns), np.diff(g.indptr))

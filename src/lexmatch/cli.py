@@ -199,6 +199,7 @@ def cmd_induce(args) -> int:
         "result": {
             "iterations": len(trace),
             "converged": trace.converged,
+            "stop_reason": trace.stop_reason,
             "induced_pairs": len(rows),
             "total_weight": float(result.total_weight),
             "final_mean_cosine": trace.records[-1].mean_cosine if trace.records else None,

@@ -126,8 +126,18 @@ class EmIteration:
 
 @dataclass
 class EmTrace:
+    """Per-iteration records and why the loop stopped.
+
+    stop_reason is "converged" when the mean cosine rose by less than the
+    threshold, "cosine_dropped" when it fell, and "max_iters" otherwise.
+    """
+
     records: list[EmIteration] = field(default_factory=list)
-    converged: bool = False
+    stop_reason: str = "max_iters"
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     def append(self, rec: EmIteration) -> None:
         self.records.append(rec)
@@ -317,8 +327,9 @@ def run_em(
     Initialization: mu = 0 and Omega from Procrustes on the seed pairs
     alone; afterwards the seed is not treated specially unless
     config.pin_seed is set.  Stops when the mean cosine over induced pairs
-    improves by less than convergence_eps between iterations (checked from
-    iteration max(2, min_iters) on) or at max_iters.  Matrices are used as
+    improves by less than convergence_eps between iterations, a drop
+    included (checked from iteration max(2, min_iters) on), or at
+    max_iters; trace.stop_reason says which.  Matrices are used as
     given, normalized by the caller.
 
     With config.pin_seed the seed pairs must themselves satisfy the prior's
@@ -384,7 +395,7 @@ def run_em(
             and it >= config.min_iters
             and mean_cos - prev_cos < config.convergence_eps
         ):
-            trace.converged = True
+            trace.stop_reason = "converged" if mean_cos >= prev_cos else "cosine_dropped"
             break
         prev_cos = mean_cos
 

@@ -54,6 +54,13 @@ class TestInduce:
         assert len(report["trace"]) == report["result"]["iterations"]
         assert (tmp_path / "m.npz").exists()
 
+    def test_report_says_why_training_stopped(self, planted, tmp_path):
+        """Capped at one iteration, the report says max_iters and not converged."""
+        assert induce(planted, tmp_path, "--max-iters", "1") == 0
+        result = json.loads((tmp_path / "report.json").read_text())["result"]
+        assert result["stop_reason"] == "max_iters"
+        assert result["converged"] is False
+
     def test_default_report_path(self, planted, tmp_path):
         """Without --report the report lands next to the dictionary."""
         rc = main([

@@ -332,6 +332,25 @@ class TestRunEm:
         assert trace.converged
         assert len(trace.records) == 2
 
+    @pytest.mark.parametrize(
+        "cosines, reason",
+        [
+            ([0.1, 0.2, 0.3, 0.4], "max_iters"),
+            ([0.5, 0.5], "converged"),
+            ([0.5, 0.4], "cosine_dropped"),
+        ],
+    )
+    def test_stop_reason(self, monkeypatch, cosines, reason):
+        """Rising, flat and falling mean cosines stop for three different reasons;
+        only the flat one counts as converged."""
+        values = iter(cosines)
+        monkeypatch.setattr("lexmatch.em._mean_cosine", lambda *args: next(values))
+        inst = planted_instance(30, 6, 0.0, 4, np.random.default_rng(3))
+        _, _, trace = run_em(inst["S"], inst["T"], inst["seed"], EmConfig(k=3, max_iters=4))
+        assert [r.mean_cosine for r in trace.records] == cosines
+        assert trace.stop_reason == reason
+        assert trace.converged == (reason == "converged")
+
     def test_collapse_raises(self):
         """Restriction plus pruning can empty the E-step; that is an error."""
         S = EmbeddingMatrix(2, np.eye(2))
