@@ -27,6 +27,11 @@ if TYPE_CHECKING:  # pragma: no cover
 # scores, int64 partition indices) stays within 32 MB per thread
 BLOCK_ELEMENTS = 4_000_000
 
+# scores per row slice that score_top_k offsets and selects in one go, 1 MiB
+# of float64, so each slice is still in a core's L2 cache when the selection
+# passes over it again
+_SELECT_ELEMENTS = 131_072
+
 # up to this k, k argmax passes over a block beat one argpartition
 _ARGMAX_MAX_K = 4
 
@@ -71,17 +76,21 @@ class CandidateGraph:
         self.check_no_duplicates()
 
     def check_no_duplicates(self) -> None:
+        """Raise naming the first repeated (source, target) edge in that order.
+
+        Targets must lie in [0, n_trg): the key source * n_trg + target then
+        sorts in (source, target) order and is unique per edge.
+        """
         if self.n_edges == 0:
             return
         rows = np.repeat(
             np.arange(self.n_src, dtype=np.int64), np.diff(self.indptr)
         )
-        order = np.lexsort((self.targets, rows))
-        r, t = rows[order], self.targets[order]
-        dup = (r[1:] == r[:-1]) & (t[1:] == t[:-1])
-        if np.any(dup):
-            e = int(np.flatnonzero(dup)[0])
-            raise ValueError(f"duplicate edge (target {t[e]}, source {r[e]})")
+        key = np.sort(rows * self.n_trg + self.targets)
+        dup = np.flatnonzero(key[1:] == key[:-1])
+        if dup.size:
+            r, t = divmod(int(key[dup[0]]), self.n_trg)
+            raise ValueError(f"duplicate edge (target {t}, source {r})")
 
 
 def edge_weight(t: np.ndarray, s: np.ndarray, params: "ModelParams") -> float:
@@ -154,7 +163,10 @@ def score_top_k(
     Queries are scored in row-contiguous (queries, candidates) blocks of at
     most BLOCK_ELEMENTS scores, so the selection runs along the contiguous
     axis.  Blocks are fixed spans of query ids assembled in order, so the
-    result is the same for any thread count.
+    result is the same for any thread count.  Each scored block is offset
+    and selected in row slices of at most _SELECT_ELEMENTS scores, while a
+    slice is still in cache; both steps work row by row, so the slicing
+    does not change the result.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -163,6 +175,7 @@ def score_top_k(
     if nq == 0 or kk == 0:
         return np.zeros((nq, kk), dtype=np.int64), np.zeros((nq, kk))
     rows = max(1, BLOCK_ELEMENTS // nc)
+    slice_rows = max(1, _SELECT_ELEMENTS // nc)
     spans = [(lo, min(lo + rows, nq)) for lo in range(0, nq, rows)]
     # each thread scores all its blocks into one buffer: a new block per span
     # would be mapped afresh and page-faulted in, up to 32 MB every time
@@ -173,9 +186,14 @@ def score_top_k(
         if not hasattr(buffers, "scores"):
             buffers.scores = np.empty((min(rows, nq), nc), dtype=np.result_type(Q, C))
         scores = np.matmul(Q[:, lo:hi].T, C, out=buffers.scores[: hi - lo])
-        if c_offset is not None:
-            scores += c_offset
-        idx, val = _select_rows(scores, kk)
+        parts = []
+        for a in range(0, hi - lo, slice_rows):
+            part = scores[a : a + slice_rows]
+            if c_offset is not None:
+                part += c_offset
+            parts.append(_select_rows(part, kk))
+        idx = np.concatenate([p[0] for p in parts])
+        val = np.concatenate([p[1] for p in parts])
         if q_offset is not None:
             val = val + q_offset[lo:hi, None]
         return idx, val

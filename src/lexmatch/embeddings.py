@@ -34,11 +34,13 @@ class Lexicon:
     index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.index = {}
-        for i, w in enumerate(self.words):
-            if w in self.index:
-                raise ValueError(f"duplicate word {w!r} in lexicon")
-            self.index[w] = i
+        self.index = dict(zip(self.words, range(len(self.words))))
+        if len(self.index) < len(self.words):
+            seen = set()
+            for w in self.words:
+                if w in seen:
+                    raise ValueError(f"duplicate word {w!r} in lexicon")
+                seen.add(w)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -120,12 +122,13 @@ def load_embeddings(
             raise ValueError(f"line 1: invalid header counts n={n_declared} d={dim}")
 
         n_keep = n_declared if max_vocab is None else min(n_declared, max_vocab)
-        data = np.empty((n_keep, dim))
+        # filled in the matrix's own (dim, n) layout through transposed views
+        data = np.empty((dim, n_keep))
         block_rows = max(1, BLOCK_VALUES // dim)
         for lo in range(0, n_keep, block_rows):
             want = min(block_rows, n_keep - lo)
             lines = list(islice(fh, want))
-            rows = data[lo : lo + len(lines)]
+            rows = data[:, lo : lo + len(lines)].T
             if not _bulk_rows(lines, lo + 2, rows, words, seen):
                 _parse_rows(lines, lo + 2, rows, words, seen)
             if len(lines) < want:
@@ -140,7 +143,7 @@ def load_embeddings(
                         f"line {lineno}: row beyond the {n_declared} the header declares"
                     )
 
-    return Lexicon(words), EmbeddingMatrix(dim, data.T)
+    return Lexicon(words), EmbeddingMatrix(dim, data)
 
 
 def _parse_rows(
@@ -234,12 +237,12 @@ def save_embeddings(path: str, lexicon: Lexicon, matrix: EmbeddingMatrix) -> Non
             fh.write(f"{word} {vals}\n")
 
 
-def _unit_columns(data: np.ndarray, words: list[str]) -> np.ndarray:
-    norms = np.linalg.norm(data, axis=0)
+def _nonzero(norms: np.ndarray, words: list[str]) -> np.ndarray:
+    """The column norms unchanged; a zero norm raises naming its word."""
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ValueError(f"cannot unit-normalize zero vector for {words[int(zero[0])]!r}")
-    return data / norms
+    return norms
 
 
 def normalize_pair(
@@ -266,13 +269,17 @@ def normalize_pair(
     data = matrix.data
     if scheme == NORM_NONE:
         return Lexicon(list(words)), EmbeddingMatrix(matrix.dim, data.copy())
-    if drop_zero:
-        keep = np.linalg.norm(data, axis=0) != 0.0
-        if not np.all(keep):
-            words = [w for w, k in zip(words, keep) if k]
-            data = data[:, keep]
-    data = _unit_columns(data, words)
+    norms = np.linalg.norm(data, axis=0)
+    if drop_zero and not np.all(norms):
+        keep = norms != 0.0
+        words = [w for w, k in zip(words, keep) if k]
+        data = data[:, keep]
+        # computed again: the norms of the narrower matrix can differ in the
+        # last bit from the same columns' norms in the full one
+        norms = np.linalg.norm(data, axis=0)
+    # one fresh array, centred and rescaled in place; matrix.data is not touched
+    data = data / _nonzero(norms, words)
     if scheme == NORM_UNIT_CENTER_UNIT:
-        data = data - data.mean(axis=1, keepdims=True)
-        data = _unit_columns(data, words)
+        data -= data.mean(axis=1, keepdims=True)
+        data /= _nonzero(np.linalg.norm(data, axis=0), words)
     return Lexicon(list(words)), EmbeddingMatrix(matrix.dim, data)

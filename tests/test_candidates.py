@@ -180,6 +180,27 @@ class TestCandidateGraph:
         with pytest.raises(ValueError):
             g.check_no_duplicates()
 
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    def test_duplicate_check_matches_lexsort(self, n_src, n_trg, data):
+        """Raises exactly when a (source, target) lexsort finds a repeated
+        edge, naming the same first one."""
+        lists = [
+            data.draw(st.lists(st.integers(0, n_trg - 1), max_size=4)) for _ in range(n_src)
+        ]
+        g = graph(n_src, n_trg, [[(i, 1.0) for i in l] for l in lists])
+        rows = np.repeat(np.arange(n_src, dtype=np.int64), np.diff(g.indptr))
+        order = np.lexsort((g.targets, rows))
+        r, t = rows[order], g.targets[order]
+        dup = np.flatnonzero((r[1:] == r[:-1]) & (t[1:] == t[:-1]))
+        if dup.size:
+            e = dup[0]
+            with pytest.raises(ValueError) as exc:
+                g.check_no_duplicates()
+            assert str(exc.value) == f"duplicate edge (target {t[e]}, source {r[e]})"
+        else:
+            g.check_no_duplicates()
+
     def test_edges_of_order(self):
         """Each source's edges keep their adjacency order."""
         g = graph(2, 3, [[(2, 0.9), (0, 0.1)], [(1, 0.4)]])

@@ -291,6 +291,122 @@ class TestBulkParse:
         assert capfd.readouterr() == ("", "")
 
 
+class TestColumnLayout:
+    """The loader fills the (dim, n) matrix directly: the same bytes as
+    parsing (n, dim) rows and copying their transpose, C-contiguous."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.integers(1, 5),
+        st.lists(FINITE, max_size=40),
+        st.integers(1, 3),
+        st.booleans(),
+    )
+    def test_matches_transposed_rows(self, tmp_path_factory, dim, values, block_rows, bulk):
+        n = len(values) // dim
+        rows = [values[i * dim : (i + 1) * dim] for i in range(n)]
+        text = f"{n} {dim}\n" + "".join(
+            " ".join([f"w{i}", *map(repr, row)]) + "\n" for i, row in enumerate(rows)
+        )
+        path = tmp_path_factory.getbasetemp() / "layout.vec"
+        path.write_text(text, encoding="utf-8")
+        expected = np.ascontiguousarray(np.array(rows, dtype=np.float64).reshape(n, dim).T)
+        bulk_rows = embeddings._bulk_rows if bulk else (lambda *args: False)
+        with mock.patch.object(embeddings, "BLOCK_VALUES", block_rows * dim), \
+                mock.patch.object(embeddings, "_bulk_rows", bulk_rows):
+            lex, mat = load_embeddings(str(path))
+        assert lex.words == [f"w{i}" for i in range(n)]
+        assert lex.index == {f"w{i}": i for i in range(n)}
+        assert mat.data.shape == (dim, n) and mat.data.flags.c_contiguous
+        assert mat.data.tobytes() == expected.tobytes()
+
+
+def old_unit_columns(data, words):
+    norms = np.linalg.norm(data, axis=0)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ValueError(f"cannot unit-normalize zero vector for {words[int(zero[0])]!r}")
+    return data / norms
+
+
+def old_normalize(words, data, scheme, drop_zero):
+    """normalize_pair as first written: a new whole matrix per step."""
+    if scheme == NORM_NONE:
+        return list(words), data.copy()
+    if drop_zero:
+        keep = np.linalg.norm(data, axis=0) != 0.0
+        if not np.all(keep):
+            words = [w for w, k in zip(words, keep) if k]
+            data = data[:, keep]
+    data = old_unit_columns(data, words)
+    if scheme == NORM_UNIT_CENTER_UNIT:
+        data = data - data.mean(axis=1, keepdims=True)
+        data = old_unit_columns(data, words)
+    return list(words), data
+
+
+def normalize_outcome(normalize):
+    """(words, shape, float64 bytes) from normalize(), or the error it raises."""
+    try:
+        with warnings.catch_warnings():
+            # dropping every column leaves an empty mean to subtract
+            warnings.simplefilter("ignore", RuntimeWarning)
+            words, out = normalize()
+    except ValueError as exc:
+        return "error", str(exc)
+    return words, out.shape, out.tobytes()
+
+
+class TestNormalizeBytes:
+    """normalize_pair gives the bytes, words and errors of the old formulas
+    and leaves its input untouched."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 8),
+        st.lists(st.integers(0, 7), max_size=3),
+        st.sampled_from(list(embeddings.NORMALIZATION_SCHEMES)),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_old_formulas(self, dim, n, zero_cols, scheme, drop_zero, same, seed):
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((dim, n)) * rng.uniform(0.1, 10.0, size=n)
+        if same:
+            # every column alike: centring leaves zero or rounding-sized columns
+            data[:] = data[:, :1]
+        data[:, [c for c in zero_cols if c < n]] = 0.0
+        words = [f"w{i}" for i in range(n)]
+        mat = EmbeddingMatrix(dim, data.copy())
+        before = mat.data.tobytes()
+
+        def new():
+            lex, out = normalize_pair(Lexicon(words), mat, scheme, drop_zero=drop_zero)
+            assert out.data.flags.c_contiguous and out.data is not mat.data
+            return lex.words, out.data
+
+        expected = normalize_outcome(lambda: old_normalize(words, data, scheme, drop_zero))
+        assert normalize_outcome(new) == expected
+        assert mat.data.tobytes() == before
+
+    def test_wide_matrix_with_dropped_column(self):
+        """A wide real-valued matrix, where the kept columns' norms must be
+        taken again after the drop to keep the old bytes."""
+        rng = np.random.default_rng(7)
+        data = rng.standard_normal((300, 2000))
+        data[:, 5] = 0.0
+        words = [f"w{i}" for i in range(2000)]
+        mat = EmbeddingMatrix(300, data.copy())
+        for scheme in (NORM_UNIT, NORM_UNIT_CENTER_UNIT):
+            lex, out = normalize_pair(Lexicon(words), mat, scheme, drop_zero=True)
+            ref_words, ref = old_normalize(words, data, scheme, True)
+            assert lex.words == ref_words
+            assert out.data.tobytes() == ref.tobytes()
+        assert np.array_equal(mat.data, data)
+
+
 class TestNormalize:
     def test_unit_scales_columns(self):
         """Column (3,4) becomes (0.6, 0.8)."""

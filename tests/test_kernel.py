@@ -3,13 +3,17 @@
 Vectors are drawn from a small pool of 4-d integer vectors whose norms are
 0, 1, 2 or 4, and the map is a signed permutation, so every weight and every
 cosine is exact in float64 and equal scores really are equal.  The pool is
-small, so ties are everywhere.  The block constant is patched down to a few
-scores, so every call runs through many ragged blocks.
+small, so ties are everywhere.  The block and selection-slice constants are
+patched down to a few scores, so every call runs through many ragged blocks
+and slices.  TestSlicedSelection
+checks on random real-valued scores that selecting in row slices gives the
+bytes of selecting whole blocks.
 """
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,6 +48,13 @@ def instances(draw):
         EmbeddingMatrix(D, POOL[:, trg]),
         ModelParams(omega, mu),
     )
+
+
+def small_blocks(block, data):
+    """Patch score_top_k's blocks down to `block` scores and its selection
+    slices to a drawn few."""
+    select = data.draw(st.integers(1, 40), label="select")
+    return mock.patch.multiple(candidates, BLOCK_ELEMENTS=block, _SELECT_ELEMENTS=select)
 
 
 def ranked(scores, k):
@@ -87,7 +98,7 @@ class TestKernelCallers:
             ns = data.draw(st.integers(1, S.n_words))
             nt = data.draw(st.integers(1, T.n_words))
             restrict = (ns, nt)
-        with mock.patch.object(candidates, "BLOCK_ELEMENTS", block):
+        with small_blocks(block, data):
             g = build_candidates(S, T, params, k, restrict=restrict, threads=threads)
         W = weight_matrix(S, T, params, ns, nt)
         g.validate()
@@ -106,7 +117,7 @@ class TestKernelCallers:
         ns = data.draw(st.integers(1, S.n_words))
         nt = data.draw(st.integers(1, T.n_words))
         config = EmConfig(prior=PRIOR_ONE_TO_MANY, rank_restrict=(ns, nt), threads=threads)
-        with mock.patch.object(candidates, "BLOCK_ELEMENTS", block):
+        with small_blocks(block, data):
             a = e_step_one_to_many(S, T, params, config)
         W = weight_matrix(S, T, params, ns, nt).T  # (targets, sources)
         got = dict(zip(a.trg.tolist(), zip(a.src.tolist(), a.weight.tolist())))
@@ -124,7 +135,7 @@ class TestKernelCallers:
         S, T, params = inst
         ids = data.draw(st.lists(st.integers(0, S.n_words - 1), min_size=1, max_size=15))
         cos = cosine_matrix(S, T, params, ids)
-        with mock.patch.object(candidates, "BLOCK_ELEMENTS", block):
+        with small_blocks(block, data):
             top1 = translate_batch(params, S, T, ids)
             near = topn_neighbors(params, S, T, ids, k)
             report = hubness(params, S, T, ids, min(k, T.n_words))
@@ -136,3 +147,58 @@ class TestKernelCallers:
             np.concatenate(ranked(cos, min(k, T.n_words))), minlength=T.n_words
         )
         assert report.counts.tolist() == hub.tolist()
+
+
+def score_top_k_with(Q, C, k, offsets, threads, block, select):
+    """score_top_k's (idx, val) bytes with both block constants patched."""
+    q_offset, c_offset = offsets
+    with mock.patch.object(candidates, "BLOCK_ELEMENTS", block), \
+            mock.patch.object(candidates, "_SELECT_ELEMENTS", select):
+        idx, val = candidates.score_top_k(
+            Q, C, k, q_offset=q_offset, c_offset=c_offset, threads=threads
+        )
+    return idx.dtype, idx.shape, idx.tobytes(), val.dtype, val.tobytes()
+
+
+class TestSlicedSelection:
+    """Offsetting and selecting a scored block slice by slice changes no bit.
+
+    Inputs are random non-integer float64, so the scores are rounded like
+    real ones.  The reference selects each block whole, as a slice of at
+    least a block's scores does.
+    """
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.integers(1, 25),
+        st.integers(1, 25),
+        st.integers(1, 5),
+        st.integers(1, 9),
+        st.integers(1, 300),
+        st.sampled_from([1, 3]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_slices_match_whole_blocks(self, nq, nc, d, k, block, threads, offset, seed):
+        rng = np.random.default_rng(seed)
+        Q = rng.standard_normal((d, nq))
+        C = rng.standard_normal((d, nc))
+        offsets = (rng.standard_normal(nq), rng.standard_normal(nc)) if offset else (None, None)
+        whole = score_top_k_with(Q, C, k, offsets, threads, block, block + nc)
+        for rows in (1, 3):
+            assert score_top_k_with(Q, C, k, offsets, threads, block, rows * nc) == whole
+
+    @pytest.mark.parametrize("k", [1, 3, 4, 5, 20])
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_default_slices_match_whole_blocks(self, k, threads):
+        """Real block and slice sizes: many slices per block, a ragged last one."""
+        rng = np.random.default_rng(k)
+        Q = rng.standard_normal((50, 700))
+        C = rng.standard_normal((50, 3001))
+        offsets = (rng.standard_normal(700), rng.standard_normal(3001))
+        block = 300 * 3001
+        assert candidates._SELECT_ELEMENTS // 3001 < 300
+        whole = score_top_k_with(Q, C, k, offsets, threads, block, block)
+        assert score_top_k_with(
+            Q, C, k, offsets, threads, block, candidates._SELECT_ELEMENTS
+        ) == whole
