@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import functools
+import hashlib
 import json
 import logging
 import sys
@@ -16,7 +17,9 @@ from lexmatch.em import (
     PRIOR_ONE_TO_ONE,
     PRIOR_ONE_TO_TWO,
     PRIOR_TWO_TO_TWO,
+    TrainedSpace,
     load_model,
+    load_trained_space,
     run_em,
     save_model,
 )
@@ -136,9 +139,12 @@ def _build_seed(spec: str, lex_src, lex_trg):
 
 def cmd_induce(args) -> int:
     t_start = time.perf_counter()
-    lex_src, S = load_embeddings(args.src_emb, max_vocab=args.vocab_size)
+    # a model records the source's digest only if every row was parsed, so
+    # that evaluation may parse the rows it scores and trust the rest
+    src_hash = hashlib.sha256() if args.model_out and args.vocab_size is None else None
+    lex_loaded, S = load_embeddings(args.src_emb, max_vocab=args.vocab_size, hasher=src_hash)
     lex_trg, T = load_embeddings(args.trg_emb, max_vocab=args.vocab_size)
-    lex_src, S = normalize_pair(lex_src, S, args.normalize, drop_zero=args.drop_zero)
+    lex_src, S = normalize_pair(lex_loaded, S, args.normalize, drop_zero=args.drop_zero)
     lex_trg, T = normalize_pair(lex_trg, T, args.normalize, drop_zero=args.drop_zero)
     seed = _build_seed(args.seed, lex_src, lex_trg)
     t_loaded = time.perf_counter()
@@ -167,7 +173,11 @@ def cmd_induce(args) -> int:
             fh.write(f"{lex_src.word(j)}\t{lex_trg.word(i)}\t{w:.6f}\n")
 
     if args.model_out:
-        save_model(args.model_out, params, args.normalize)
+        dropped = tuple(w for w in lex_loaded.words if w not in lex_src)
+        space = TrainedSpace(
+            S.center, T.center, src_hash.hexdigest() if src_hash else "", dropped
+        )
+        save_model(args.model_out, params, args.normalize, space)
 
     t_end = time.perf_counter()
     report = {
@@ -227,27 +237,44 @@ def cmd_induce(args) -> int:
     return 0
 
 
-def _load_model_and_embeddings(args):
+def _load_model_and_embeddings(args, src_words):
+    """The model and both vocabularies, normalized as training normalized them.
+
+    Only the source rows of src_words (and of the words training dropped)
+    are parsed when the source is the file the model was trained on; see
+    load_embeddings.
+    """
     params, scheme = load_model(args.model)
-    lex_src, S = load_embeddings(args.src_emb)
+    space = load_trained_space(args.model)
+    lex_src, S = load_embeddings(
+        args.src_emb, words=set(src_words).union(space.src_dropped), sha256=space.src_sha256
+    )
+    _check_dim(args.src_emb, S, params)
     lex_trg, T = load_embeddings(args.trg_emb)
-    lex_src, S = normalize_pair(lex_src, S, scheme, drop_zero=True)
-    lex_trg, T = normalize_pair(lex_trg, T, scheme, drop_zero=True)
-    if S.dim != params.dim:
-        raise ValueError(
-            f"model dimension {params.dim} does not match embeddings ({S.dim})"
-        )
+    _check_dim(args.trg_emb, T, params)
+    lex_src, S = normalize_pair(lex_src, S, scheme, drop_zero=True, center=space.src_center)
+    lex_trg, T = normalize_pair(lex_trg, T, scheme, drop_zero=True, center=space.trg_center)
     return params, lex_src, S, lex_trg, T
 
 
+def _check_dim(path, matrix, params) -> None:
+    if matrix.dim != params.dim:
+        raise ValueError(
+            f"{path}: embedding dimension {matrix.dim} does not match the model's {params.dim}"
+        )
+
+
 def cmd_evaluate(args) -> int:
-    params, lex_src, S, lex_trg, T = _load_model_and_embeddings(args)
     if args.eval_dict:
         gold = load_eval_dictionary(args.eval_dict)
+        params, lex_src, S, lex_trg, T = _load_model_and_embeddings(args, gold)
         score, coverage = precision_at_1(params, S, T, gold, lex_src, lex_trg)
         payload = {"p_at_1": score, "coverage": coverage}
     else:
         triples = load_wordsim_tsv(args.wordsim)
+        params, lex_src, S, lex_trg, T = _load_model_and_embeddings(
+            args, (s for s, _, _ in triples)
+        )
         rho, coverage = word_similarity(params, S, T, triples, lex_src, lex_trg)
         payload = {"spearman": rho, "coverage": coverage}
     if args.json:
@@ -259,8 +286,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_hubness(args) -> int:
-    params, lex_src, S, lex_trg, T = _load_model_and_embeddings(args)
     gold = load_eval_dictionary(args.queries)
+    params, lex_src, S, lex_trg, T = _load_model_and_embeddings(args, gold)
     queries = sorted(lex_src.id(w) for w in gold if w in lex_src)
     if not queries:
         raise ValueError("no in-vocabulary query words in the dictionary file")
@@ -277,12 +304,12 @@ def cmd_hubness(args) -> int:
 
 
 def cmd_query(args) -> int:
-    params, lex_src, S, lex_trg, T = _load_model_and_embeddings(args)
     words: list[str] = list(args.word or [])
     if args.stdin:
         words.extend(line.strip() for line in sys.stdin if line.strip())
     if not words:
         raise ValueError("no query words given (use --word or --stdin)")
+    params, lex_src, S, lex_trg, T = _load_model_and_embeddings(args, words)
     known = [lex_src.id(w) for w in words if w in lex_src]
     neighbors = iter(topn_neighbors(params, S, T, known, args.topn))
     for w in words:

@@ -402,19 +402,47 @@ def run_em(
     return params, assignment, trace
 
 
-def save_model(path: str, params: ModelParams, normalization: str) -> None:
-    """Write params to a self-describing .npz container (bit-exact round-trip)."""
+@dataclass
+class TrainedSpace:
+    """What evaluation needs to rebuild the space that induce trained in.
+
+    src_center and trg_center are the unit_center_unit centring vectors as
+    training computed them (None under the other schemes).  src_sha256 is
+    the hex sha256 of the source file, "" unless induce parsed and checked
+    every row of it; src_dropped lists the source words that training
+    dropped as zero vectors.
+    """
+
+    src_center: np.ndarray | None = None
+    trg_center: np.ndarray | None = None
+    src_sha256: str = ""
+    src_dropped: tuple[str, ...] = ()
+
+
+def save_model(
+    path: str, params: ModelParams, normalization: str, space: TrainedSpace = TrainedSpace()
+) -> None:
+    """Write params to a self-describing .npz container (bit-exact round-trip).
+
+    Format version 2; version 1 had no centring vectors, digest or dropped
+    words, and load_trained_space reads it as an empty TrainedSpace.
+    """
     if normalization not in NORMALIZATION_SCHEMES:
         raise ValueError(f"unknown normalization {normalization!r}")
     params.validate()
+    empty = np.zeros(0)
     with open(path, "wb") as fh:
         np.savez(
             fh,
-            format_version=np.int64(1),
+            format_version=np.int64(2),
             dim=np.int64(params.dim),
             omega=params.omega,
             mu=params.mu,
             normalization=normalization,
+            src_center=empty if space.src_center is None else space.src_center,
+            trg_center=empty if space.trg_center is None else space.trg_center,
+            src_sha256=space.src_sha256,
+            src_dropped=np.array(space.src_dropped, dtype=str),
         )
 
 
@@ -422,7 +450,7 @@ def load_model(path: str) -> tuple[ModelParams, str]:
     """Read a model container; re-validates orthogonality."""
     with np.load(path, allow_pickle=False) as data:
         version = int(data["format_version"])
-        if version != 1:
+        if version not in (1, 2):
             raise ValueError(f"unsupported model format version {version}")
         d = int(data["dim"])
         omega = data["omega"]
@@ -437,3 +465,23 @@ def load_model(path: str) -> tuple[ModelParams, str]:
     params = ModelParams(omega, mu)
     params.validate()
     return params, normalization
+
+
+def load_trained_space(path: str) -> TrainedSpace:
+    """The TrainedSpace of a model that load_model accepts; empty for version 1."""
+    with np.load(path, allow_pickle=False) as data:
+        if int(data["format_version"]) == 1:
+            return TrainedSpace()
+        d = int(data["dim"])
+        centers = [data["src_center"], data["trg_center"]]
+        space = TrainedSpace(
+            *(c if c.size else None for c in centers),
+            src_sha256=str(data["src_sha256"][()]),
+            src_dropped=tuple(data["src_dropped"].tolist()),
+        )
+    for c in centers:
+        if c.size and (c.shape != (d,) or not np.all(np.isfinite(c))):
+            raise ValueError(
+                f"model centring vectors must be finite with shape ({d},), got shape {c.shape}"
+            )
+    return space

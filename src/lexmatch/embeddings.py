@@ -9,7 +9,12 @@ word2vec text format: a "n d" header line followed by n lines of
 
 from __future__ import annotations
 
+import hashlib
+import io
+import os
+import stat
 import warnings
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -57,10 +62,15 @@ class Lexicon:
 
 @dataclass
 class EmbeddingMatrix:
-    """Dense embedding matrix, shape (dim, n_words); column i = word i."""
+    """Dense embedding matrix, shape (dim, n_words); column i = word i.
+
+    center is the (dim,) vector that unit_center_unit subtracted, None for
+    a matrix it did not make.
+    """
 
     dim: int
     data: np.ndarray
+    center: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.data = np.ascontiguousarray(self.data)
@@ -85,7 +95,12 @@ _LOADTXT_ONLY_SPACE = ("\x1c", "\x1d", "\x1e", "\x1f")
 
 
 def load_embeddings(
-    path: str, max_vocab: int | None = None
+    path: str,
+    max_vocab: int | None = None,
+    *,
+    hasher=None,
+    words: Collection[str] | None = None,
+    sha256: str | None = None,
 ) -> tuple[Lexicon, EmbeddingMatrix]:
     """Read word2vec text format into float64.
 
@@ -102,25 +117,30 @@ def load_embeddings(
     BLOCK_VALUES // dim lines, each parsed by one np.loadtxt call.  A block
     that this bulk parse does not take whole goes through _parse_rows, the
     row parser that defines what is accepted and words every error.
-    """
-    words: list[str] = []
-    seen: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header:
-            raise ValueError("line 1: empty file, expected 'n d' header")
-        parts = header.rstrip("\r\n").split()
-        if len(parts) != 2:
-            raise ValueError(f"line 1: malformed header {header.rstrip()!r}, expected 'n d'")
-        try:
-            n_declared, dim = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(
-                f"line 1: malformed header {header.rstrip()!r}, expected two integers"
-            ) from None
-        if n_declared < 0 or dim <= 0:
-            raise ValueError(f"line 1: invalid header counts n={n_declared} d={dim}")
 
+    hasher, a hashlib object, is fed every byte that the read consumes:
+    the whole file when max_vocab is None.
+
+    words and sha256 together ask for the rows of those words only, from a
+    file that was parsed in full before.  If path is a regular file whose
+    sha256 hex digest is sha256, the file streams through the hash and only
+    the rows of words, plus the first row of any other word, are parsed as
+    they pass, block by block, into a C-contiguous (dim, m) matrix in file
+    order.  The extra row keeps m >= 2: numpy reduces a (dim, 1) column
+    pairwise, so its norm could differ in the last bit from the same
+    column's norm in a wider matrix.  In every other case (another digest,
+    no digest, max_vocab, a pipe) every row is parsed and checked as above,
+    so a row that no caller asked for still fails with its line number
+    unless the file is the one that passed before.
+    """
+    if words is not None and sha256 and max_vocab is None and _is_regular(path):
+        subset = _load_rows_of(path, words, sha256)
+        if subset is not None:
+            return subset
+    names: list[str] = []
+    seen: dict[str, int] = {}
+    with _open_text(path, hasher) as fh:
+        n_declared, dim = _read_header(fh)
         n_keep = n_declared if max_vocab is None else min(n_declared, max_vocab)
         # filled in the matrix's own (dim, n) layout through transposed views
         data = np.empty((dim, n_keep))
@@ -128,9 +148,7 @@ def load_embeddings(
         for lo in range(0, n_keep, block_rows):
             want = min(block_rows, n_keep - lo)
             lines = list(islice(fh, want))
-            rows = data[:, lo : lo + len(lines)].T
-            if not _bulk_rows(lines, lo + 2, rows, words, seen):
-                _parse_rows(lines, lo + 2, rows, words, seen)
+            _fill_rows(lines, lo + 2, data[:, lo : lo + len(lines)].T, names, seen)
             if len(lines) < want:
                 raise ValueError(
                     f"line {lo + len(lines) + 2}: unexpected end of file, "
@@ -143,7 +161,110 @@ def load_embeddings(
                         f"line {lineno}: row beyond the {n_declared} the header declares"
                     )
 
-    return Lexicon(words), EmbeddingMatrix(dim, data)
+    return Lexicon(names), EmbeddingMatrix(dim, data)
+
+
+def _load_rows_of(
+    path: str, words: Collection[str], sha256: str
+) -> tuple[Lexicon, EmbeddingMatrix] | None:
+    """The subset read of load_embeddings; None if the file is not the one
+    whose digest is sha256."""
+    hasher = hashlib.sha256()
+    names: list[str] = []
+    seen: dict[str, int] = {}
+    with _open_text(path, hasher) as fh:
+        n_declared, dim = _read_header(fh)
+        data = np.empty((dim, min(n_declared, len(words) + 1)))
+        block_rows = max(1, BLOCK_VALUES // dim)
+        kept = _scored_lines(islice(fh, n_declared), words)
+        m = 0
+        try:
+            # the file passed the full parse if its digest matches, so the
+            # line numbers given here never reach an error message; an error
+            # means another file, which the full parse then reports
+            while block := list(islice(kept, block_rows)):
+                _fill_rows(block, m + 2, data[:, m : m + len(block)].T, names, seen)
+                m += len(block)
+            for _ in fh:
+                pass
+        except ValueError:
+            return None
+    if hasher.hexdigest() != sha256:
+        return None
+    return Lexicon(names), EmbeddingMatrix(dim, data[:, :m])
+
+
+def _scored_lines(lines, words: Collection[str]):
+    """The lines of words, and the first line of any other word."""
+    other = True
+    for line in lines:
+        if line.partition(" ")[0] in words:
+            yield line
+        elif other:
+            other = False
+            yield line
+
+
+def _is_regular(path: str) -> bool:
+    try:
+        return stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:
+        return False
+
+
+class _HashedReader(io.RawIOBase):
+    """A binary file that adds every byte read from it to hasher."""
+
+    def __init__(self, raw, hasher) -> None:
+        self._raw = raw
+        self._hasher = hasher
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        n = self._raw.readinto(buf)
+        self._hasher.update(memoryview(buf)[:n])
+        return n
+
+    def close(self) -> None:
+        self._raw.close()
+        super().close()
+
+
+def _open_text(path: str, hasher):
+    """The file as open(path, encoding="utf-8") reads it, hashed into hasher if given."""
+    if hasher is None:
+        return open(path, encoding="utf-8")
+    raw = _HashedReader(open(path, "rb", buffering=0), hasher)
+    return io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8")
+
+
+def _read_header(fh) -> tuple[int, int]:
+    """(n, d) from the header line."""
+    header = fh.readline()
+    if not header:
+        raise ValueError("line 1: empty file, expected 'n d' header")
+    parts = header.rstrip("\r\n").split()
+    if len(parts) != 2:
+        raise ValueError(f"line 1: malformed header {header.rstrip()!r}, expected 'n d'")
+    try:
+        n_declared, dim = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ValueError(
+            f"line 1: malformed header {header.rstrip()!r}, expected two integers"
+        ) from None
+    if n_declared < 0 or dim <= 0:
+        raise ValueError(f"line 1: invalid header counts n={n_declared} d={dim}")
+    return n_declared, dim
+
+
+def _fill_rows(
+    lines: list[str], first_line: int, out: np.ndarray, words: list[str], seen: dict[str, int]
+) -> None:
+    """One block of rows: the bulk parse, or the row parser if it declines."""
+    if not _bulk_rows(lines, first_line, out, words, seen):
+        _parse_rows(lines, first_line, out, words, seen)
 
 
 def _parse_rows(
@@ -250,12 +371,15 @@ def normalize_pair(
     matrix: EmbeddingMatrix,
     scheme: str,
     drop_zero: bool = False,
+    center: np.ndarray | None = None,
 ) -> tuple[Lexicon, EmbeddingMatrix]:
     """Apply a normalization scheme to a (lexicon, matrix) pair, returning new ones.
 
     none: copy.  unit: scale each column to unit length.  unit_center_unit:
-    unit-scale, subtract the per-dimension mean across the vocabulary,
-    unit-scale again.  A zero-norm column raises naming its word; with
+    unit-scale, subtract the per-dimension mean across the vocabulary (or
+    center, a (dim,) vector such as the mean of the vocabulary a model was
+    trained on), unit-scale again; the result's center is the vector
+    subtracted.  A zero-norm column raises naming its word; with
     drop_zero=True such words are removed from both sides first (ids are
     recompacted).
     """
@@ -280,6 +404,8 @@ def normalize_pair(
     # one fresh array, centred and rescaled in place; matrix.data is not touched
     data = data / _nonzero(norms, words)
     if scheme == NORM_UNIT_CENTER_UNIT:
-        data -= data.mean(axis=1, keepdims=True)
+        center = data.mean(axis=1) if center is None else center
+        data -= center[:, None]
         data /= _nonzero(np.linalg.norm(data, axis=0), words)
+        return Lexicon(list(words)), EmbeddingMatrix(matrix.dim, data, center)
     return Lexicon(list(words)), EmbeddingMatrix(matrix.dim, data)
