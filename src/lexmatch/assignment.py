@@ -4,9 +4,9 @@ Three routes to the same optimum, used to cross-check each other:
 
 * solve_sparse_lap: successive shortest augmenting paths with dual
   potentials (Dijkstra on the sparse adjacency), the production solver.
-  Partial matchings come out of a rectangular formulation where every
-  source also owns a private zero-cost "stay unmatched" column, and
-  maximization is turned into minimization by negating weights.
+  Pair sets under a prior's degree caps come out of a formulation where
+  every source slot also owns a private zero-cost "stay unmatched" column,
+  and maximization is turned into minimization by negating weights.
 * hungarian_dense: dense oracle delegating to scipy's assignment solver.
 * brute_force_matching: exhaustive enumeration for tiny instances.
 """
@@ -93,57 +93,74 @@ def hungarian_dense(weights: np.ndarray) -> Matching:
     return m
 
 
-def solve_sparse_lap(g: CandidateGraph) -> Matching:
-    """Maximum-weight partial matching on a sparse candidate graph.
+def solve_sparse_lap(g: CandidateGraph, trg_cap: int = 1, src_cap: int = 1) -> Matching:
+    """Maximum-weight pair set on a sparse candidate graph under degree caps.
 
-    Successive shortest augmenting paths over columns = real targets plus
-    one dummy column per source (the source's zero-cost unmatched option),
-    with dual potentials keeping reduced costs nonnegative so plain
-    Dijkstra applies.  Sources are processed in index order and heap keys
-    are (distance, column), so ties always resolve toward lower indices
-    and runs are bit-for-bit reproducible.
+    Each target takes at most trg_cap sources and each source at most
+    src_cap (1 or 2) targets, over distinct edges: the 1:1, 1:2 and 2:2
+    priors.  Source j has src_cap slots j + s * ns, searched slot 0 of every
+    source in source order, then slot 1.  Each slot holds one column, a
+    target or its own zero-cost "stay unmatched" column nt + r, and a target
+    seats up to trg_cap slots.  Successive shortest augmenting paths
+    (Dijkstra over columns, weights negated into costs) keep potentials under
+    which every held edge is tight and every relaxed edge has a nonnegative
+    reduced cost; a column is left only through the slots it seats, and a
+    slot is reached only through its one column.  Heap keys are (distance,
+    column), so ties go to lower ids and runs are bit-for-bit reproducible.
+    Under 1:2 these are the order and ids of em.duplicate_and_merge's source
+    copies, whose merged solve this reproduces byte for byte.
 
-    Most searches end at the first pop.  A source's own columns are
-    distinct, so that pop is their smallest (distance, column) key; when its
-    column is free the source takes it without a heap, making the updates a
-    full search makes there, so results do not change.
+    When both caps exceed 1, a slot's cost to the target its sibling holds is
+    +inf, so no edge is taken twice; an edge this releases keeps a nonnegative
+    reduced cost, since the sibling's next column was as close via the slot.
+
+    Most searches end at the first pop, the smallest (distance, column) key
+    of the slot's own distinct columns: when that column has a free seat the
+    slot takes it without a heap, as a full search would.
     """
     g.check_no_duplicates()
     if g.n_edges and g.weights.min() < 0:
         raise ValueError("negative edge weight; prune candidates first")
+    if trg_cap < 1 or src_cap not in (1, 2):
+        raise ValueError(f"unsupported degree caps ({trg_cap}, {src_cap})")
 
-    ns, nt = g.n_src, g.n_trg
-    n_cols = nt + ns  # col nt + j is the dummy column of source j
+    ns, nt, tc = g.n_src, g.n_trg, trg_cap
+    n_rows = src_cap * ns
+    n_cols = nt + n_rows  # col nt + r is the dummy column of slot r
     bounds = g.indptr.tolist()
     all_targets = g.targets.tolist()
     all_costs = (-g.weights).tolist()
-    # a source without edges can only take its own dummy column, which no
-    # other source reaches, so it is never searched nor expanded
+    # a slot without edges can only take its own dummy column, which no
+    # other slot reaches, so it is never searched nor expanded
     sources = np.flatnonzero(np.diff(g.indptr)).tolist()
-    row_cols: list[list[int]] = [[]] * ns
-    row_costs: list[list[float]] = [[]] * ns
-    for j in sources:  # each row ends with its dummy column at cost 0
-        row_cols[j] = all_targets[bounds[j]:bounds[j + 1]] + [nt + j]
-        row_costs[j] = all_costs[bounds[j]:bounds[j + 1]] + [0.0]
+    slots = [j + s * ns for s in range(src_cap) for j in sources]
+    row_cols: list[list[int]] = [[]] * n_rows
+    row_costs: list[list[float]] = [[]] * n_rows
+    for r in slots:  # each row ends with its dummy column at cost 0
+        lo, hi = bounds[r % ns], bounds[r % ns + 1]
+        row_cols[r] = all_targets[lo:hi] + [nt + r]
+        row_costs[r] = all_costs[lo:hi] + [0.0]
 
     v = [0.0] * n_cols
-    u = [0.0] * ns
-    match_col = [-1] * n_cols  # col -> row
-    row_col = [-1] * ns  # row -> col
+    u = [0.0] * n_rows
+    seats = [-1] * (n_cols * tc)  # col's slots, filled in order from col * tc
+    seat_of = [-1] * n_rows  # slot r sits in column seat_of[r] // tc
+    blocked = tc > 1 and src_cap > 1  # sibling slots may not share a target
     # per-search state, back to these values once each search ends
     best = [math.inf] * n_cols
     done = [False] * n_cols
     pred = [-1] * n_cols  # read only along the path just searched
 
-    for j0 in sources:
+    for j0 in slots:
         u0 = min([c - v[i] for i, c in zip(row_cols[j0], row_costs[j0])])
         heap = [(c - u0 - v[i], i) for i, c in zip(row_cols[j0], row_costs[j0])]
         d, col = min(heap)
-        if match_col[col] == -1:
-            v[col] += d - d  # what a full search adds to its exit column
+        if seats[col * tc + tc - 1] == -1:
             u[j0] = u0 + d
-            match_col[col] = j0
-            row_col[j0] = col
+            if blocked and col < nt:
+                row_costs[j0 - ns][row_cols[j0].index(col)] = math.inf
+            seat_of[j0] = seats.index(-1, col * tc)
+            seats[seat_of[j0]] = j0
             continue
 
         heapq.heapify(heap)
@@ -156,76 +173,85 @@ def solve_sparse_lap(g: CandidateGraph) -> Matching:
             if done[col]:
                 continue
             done[col] = True
-            final.append((col, d))
-            r1 = match_col[col]
-            if r1 == -1:
+            seat = col * tc
+            if seats[seat + tc - 1] == -1:
                 break
-            ur1 = u[r1]
-            for i, c in zip(row_cols[r1], row_costs[r1]):
-                if not done[i]:
-                    di = d + c - ur1 - v[i]
-                    if di < best[i]:
-                        best[i] = di
-                        pred[i] = r1
-                        heapq.heappush(heap, (di, i))
+            final.append((col, d))
+            for r1 in seats[seat:seat + tc]:
+                ur1 = u[r1]
+                for i, c in zip(row_cols[r1], row_costs[r1]):
+                    if not done[i]:
+                        di = d + c - ur1 - v[i]
+                        if di < best[i]:
+                            best[i] = di
+                            pred[i] = r1
+                            heapq.heappush(heap, (di, i))
 
-        # every column given a distance is final or still on the heap
+        # every column given a distance is final, the exit or still on the heap
         for _, i in heap:
             best[i] = math.inf
+        best[col] = math.inf
+        done[col] = False
         for i, di in final:
             v[i] += di - d
             best[i] = math.inf
             done[i] = False
-            r1 = match_col[i]
-            if r1 != -1:
+            for r1 in seats[i * tc:i * tc + tc]:
                 u[r1] += d - di
         u[j0] = u0 + d
 
-        while col != -1:  # the path ends at j0, which has no column yet
-            r = pred[col]
-            match_col[col] = r
-            row_col[r], col = col, row_col[r]
+        # from a free seat of the exit back to j0, each slot takes the seat the next leaves
+        seat = seats.index(-1, col * tc)
+        while seat != -1:
+            r = pred[seat // tc]
+            if blocked:  # unblock r's old target for its sibling r - ns, block its new one
+                for i, c in ((seat_of[r] // tc, None), (seat // tc, math.inf)):
+                    if 0 <= i < nt:
+                        k = row_cols[r].index(i)
+                        row_costs[r - ns][k] = row_costs[r][k] if c is None else c
+            seats[seat] = r
+            seat, seat_of[r] = seat_of[r], seat
 
-    # each matched source has exactly one edge to its column
+    # each held column of a source is one of its edges
     edge_src = np.repeat(np.arange(ns), np.diff(g.indptr))
-    chosen = g.targets == np.array(row_col, dtype=np.int64)[edge_src]
+    held = (np.array(seat_of, dtype=np.int64) // tc).reshape(src_cap, ns)[:, edge_src]
+    chosen = (g.targets == held).any(axis=0)
     m = Matching(nt, ns, g.targets[chosen], edge_src[chosen], g.weights[chosen])
-    m.assert_degrees(1, 1)
+    m.assert_degrees(trg_cap, src_cap)
     return m
 
 
-def brute_force_matching(g: CandidateGraph) -> Matching:
-    """Optimal partial matching by exhaustive enumeration; oracle for tiny graphs."""
+def brute_force_matching(g: CandidateGraph, trg_cap: int = 1, src_cap: int = 1) -> Matching:
+    """Optimal pair set under degree caps by exhaustive enumeration; oracle for tiny graphs."""
     if g.n_src + g.n_trg > 16:
         raise ValueError(
             f"instance too large for brute force: {g.n_src} + {g.n_trg} vertices > 16"
         )
-    adj = []
-    for j in range(g.n_src):
-        t, w = g.edges_of(j)
-        adj.append(list(zip(t.tolist(), w.tolist())))
-
+    edges = [(int(i), j, float(w)) for j in range(g.n_src) for i, w in zip(*g.edges_of(j))]
+    degree = [0] * (g.n_trg + g.n_src)  # targets, then sources
     best_weight = -math.inf
     best_pairs: list[tuple[int, int, float]] = []
 
-    def recurse(j: int, used: int, acc: float, chosen: list[tuple[int, int, float]]):
+    def recurse(e: int, acc: float, chosen: list[tuple[int, int, float]]):
         nonlocal best_weight, best_pairs
-        if j == g.n_src:
+        if e == len(edges):
             if acc > best_weight:
                 best_weight = acc
                 best_pairs = list(chosen)
             return
-        recurse(j + 1, used, acc, chosen)
-        for i, w in adj[j]:
-            bit = 1 << i
-            if used & bit:
-                continue
-            chosen.append((int(i), j, float(w)))
-            recurse(j + 1, used | bit, acc + w, chosen)
+        recurse(e + 1, acc, chosen)
+        i, j, w = edges[e]
+        if degree[i] < trg_cap and degree[g.n_trg + j] < src_cap:
+            degree[i] += 1
+            degree[g.n_trg + j] += 1
+            chosen.append(edges[e])
+            recurse(e + 1, acc + w, chosen)
             chosen.pop()
+            degree[i] -= 1
+            degree[g.n_trg + j] -= 1
 
-    recurse(0, 0, 0.0, [])
+    recurse(0, 0.0, [])
     trg, src, weight = zip(*best_pairs) if best_pairs else ((), (), ())
     m = Matching(g.n_trg, g.n_src, trg, src, weight)
-    m.assert_degrees(1, 1)
+    m.assert_degrees(trg_cap, src_cap)
     return m

@@ -12,8 +12,8 @@ bipartite matching between the two vocabularies; training alternates
 A one-to-many mode replaces the matching by an independent argmax per
 target (sources may repeat), which is the standard self-training baseline
 expressed in the same parameterization: the same pair set under a
-different prior.  1:2 / 2:2 priors are realized by duplicating vertices
-before solving and merging copies afterwards.
+different prior.  The 1:1, 1:2 and 2:2 priors are one solver call with that
+prior's degree caps, on the candidate graph itself.
 """
 
 from __future__ import annotations
@@ -173,61 +173,32 @@ def centroid(T: EmbeddingMatrix, u_trg, prev_mu: np.ndarray) -> np.ndarray:
 
 
 def duplicate_and_merge(
-    g: CandidateGraph, prior: str
+    g: CandidateGraph,
 ) -> tuple[CandidateGraph, Callable[[Matching], Matching]]:
-    """Vertex-copy transform realizing the 1:2 / 2:2 matching priors.
+    """Source-copy transform of the 1:2 prior; the reference for solve_sparse_lap's slots.
 
-    Returns the expanded graph (copies carry identical edge weights) and a
-    merge function mapping a matching on it back to original ids, dropping
-    duplicated (target, source) pairs.  Merged results satisfy the prior's
-    PRIOR_CAPS.
-
-    Source copy ns + j repeats row j.  Under 2:2 every row first lists its
-    own edges and then the same edges to the target copies (target + nt),
-    in the original order, which the solver's tie-breaks follow.
+    Returns the expanded graph, whose row ns + j repeats row j, and a merge
+    mapping a 1:1 matching on it back to original ids: solve_sparse_lap(g,
+    1, 2) equals merge(solve_sparse_lap(expanded)) byte for byte.
     """
-    if prior not in (PRIOR_ONE_TO_TWO, PRIOR_TWO_TO_TWO):
-        raise ValueError(f"duplicate_and_merge applies to 1:2/2:2 priors, got {prior!r}")
-    ns, nt = g.n_src, g.n_trg
-    indptr, targets, weights, n_trg = g.indptr, g.targets, g.weights, nt
-    if prior == PRIOR_TWO_TO_TWO:
-        # a stable sort by row puts each row's edges before their copies
-        rows = np.repeat(np.arange(ns), np.diff(indptr))
-        order = np.argsort(np.concatenate([rows, rows]), kind="stable")
-        targets = np.concatenate([targets, targets + nt])[order]
-        weights = np.concatenate([weights, weights])[order]
-        indptr, n_trg = 2 * indptr, 2 * nt
     expanded = CandidateGraph(
-        2 * ns,
-        n_trg,
-        np.concatenate([indptr, indptr[1:] + targets.size]),
-        np.concatenate([targets, targets]),
-        np.concatenate([weights, weights]),
+        2 * g.n_src,
+        g.n_trg,
+        np.concatenate([g.indptr, g.indptr[1:] + g.n_edges]),
+        np.tile(g.targets, 2),
+        np.tile(g.weights, 2),
     )
-
-    def merge(m: Matching) -> Matching:
-        # copies of one original pair carry its weight, so any copy's will do
-        key, first = np.unique((m.trg % nt) * ns + m.src % ns, return_index=True)
-        merged = Matching(nt, ns, key // ns, key % ns, m.weight[first])
-        merged.assert_degrees(*PRIOR_CAPS[prior])
-        return merged
-
-    return expanded, merge
+    return expanded, lambda m: Matching(g.n_trg, g.n_src, m.trg, m.src % g.n_src, m.weight)
 
 
 def e_step_matching(
     S: EmbeddingMatrix, T: EmbeddingMatrix, params: ModelParams, config: EmConfig
 ) -> Matching:
-    """Best partial matching under current params (priors via vertex copies)."""
+    """Best pair set under current params within the prior's degree caps."""
     g = build_candidates(
         S, T, params, config.k, restrict=config.rank_restrict, threads=config.threads
     )
-    if config.prior == PRIOR_ONE_TO_ONE:
-        return solve_sparse_lap(g)
-    if config.prior in (PRIOR_ONE_TO_TWO, PRIOR_TWO_TO_TWO):
-        expanded, merge = duplicate_and_merge(g, config.prior)
-        return merge(solve_sparse_lap(expanded))
-    raise ValueError(f"e_step_matching does not handle prior {config.prior!r}")
+    return solve_sparse_lap(g, *PRIOR_CAPS[config.prior])
 
 
 def e_step_one_to_many(
@@ -279,7 +250,8 @@ def _mean_cosine(
     s = params.omega @ S.data[:, m.src]
     dots = np.einsum("ij,ij->j", t, s)
     norms = np.linalg.norm(t, axis=0) * np.linalg.norm(s, axis=0)
-    return float(np.mean(dots / norms))
+    # a pair with a zero vector counts as cosine 0
+    return float(np.mean(np.divide(dots, norms, out=np.zeros_like(dots), where=norms > 0)))
 
 
 def _pin_seed_pairs(

@@ -381,7 +381,7 @@ def normalize_pair(
     trained on), unit-scale again; the result's center is the vector
     subtracted.  A zero-norm column raises naming its word; with
     drop_zero=True such words are removed from both sides first (ids are
-    recompacted).
+    recompacted), and it raises when every column is zero.
     """
     if scheme not in NORMALIZATION_SCHEMES:
         raise ValueError(f"unknown normalization scheme {scheme!r}, expected one of {NORMALIZATION_SCHEMES}")
@@ -396,6 +396,8 @@ def normalize_pair(
     norms = np.linalg.norm(data, axis=0)
     if drop_zero and not np.all(norms):
         keep = norms != 0.0
+        if not keep.any():
+            raise ValueError(f"all {len(words)} vectors are zero; no word is left")
         words = [w for w, k in zip(words, keep) if k]
         data = data[:, keep]
         # computed again: the norms of the narrower matrix can differ in the

@@ -98,6 +98,23 @@ def random_sparse_graph(n_src, n_trg, n_edges, rng, low=0.0, high=1.0):
     return graph(n_src, n_trg, lists)
 
 
+def tie_heavy_graph(seed, max_side):
+    """Random graph with weights in {0, 0.5, 1, 1.5}; about a quarter of sources edgeless.
+
+    A zero-weight edge ties with its source's stay-unmatched option, and
+    half-integer sums are exact, so every tie-break of the solver shows in
+    which pairs it returns.
+    """
+    rng = np.random.default_rng(seed)
+    n_src, n_trg = rng.integers(1, max_side + 1, size=2).tolist()
+    lists = []
+    for _ in range(n_src):
+        deg = 0 if rng.random() < 0.25 else int(rng.integers(1, n_trg + 1))
+        t = rng.choice(n_trg, size=deg, replace=False).tolist()
+        lists.append(list(zip(t, (rng.integers(0, 4, size=deg) / 2).tolist())))
+    return graph(n_src, n_trg, lists)
+
+
 def write_planted_numerals(directory):
     """Noiseless rotated permutation of 40 words with 8 shared numerals, on disk.
 

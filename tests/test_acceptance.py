@@ -18,6 +18,7 @@ from conftest import (
     random_orthogonal,
     random_sparse_graph,
     random_unit_matrix,
+    tie_heavy_graph,
     unit_columns,
     write_planted_numerals,
 )
@@ -28,12 +29,13 @@ from lexmatch.assignment import (
 )
 from lexmatch.candidates import edge_weight
 from lexmatch.em import (
+    PRIOR_CAPS,
     PRIOR_ONE_TO_MANY,
+    PRIOR_ONE_TO_ONE,
     PRIOR_ONE_TO_TWO,
     PRIOR_TWO_TO_TWO,
     EmConfig,
     ModelParams,
-    duplicate_and_merge,
     e_step_matching,
     e_step_one_to_many,
     procrustes,
@@ -221,21 +223,17 @@ def test_criterion_06_hubness_mitigation(announce):
 
 
 def test_criterion_07_prior_variants_match_enumeration(announce):
-    """1:2 and 2:2 solved on the duplicated graph agree with exhaustive
-    enumeration of that graph, and merged outputs respect the caps."""
-    rng = np.random.default_rng(7)
+    """1:1, 1:2 and 2:2 solved on the original graph total what exhaustive
+    enumeration under the same degree caps totals, on tie-heavy graphs, and
+    keep the caps."""
     checked = 0
     agree = True
-    for _ in range(40):
-        for prior, caps in ((PRIOR_ONE_TO_TWO, (1, 2)), (PRIOR_TWO_TO_TWO, (2, 2))):
-            n_src = int(rng.integers(1, 5))
-            n_trg = int(rng.integers(1, 5))
-            g = random_sparse_graph(
-                n_src, n_trg, int(rng.integers(0, n_src * n_trg + 1)), rng
-            )
-            expanded, merge = duplicate_and_merge(g, prior)
-            fast = merge(solve_sparse_lap(expanded))
-            slow = merge(brute_force_matching(expanded))
+    for seed in range(40):
+        g = tie_heavy_graph(seed, 6)
+        for prior in (PRIOR_ONE_TO_ONE, PRIOR_ONE_TO_TWO, PRIOR_TWO_TO_TWO):
+            caps = PRIOR_CAPS[prior]
+            fast = solve_sparse_lap(g, *caps)
+            slow = brute_force_matching(g, *caps)
             agree = agree and fast.total_weight == slow.total_weight
             fast.assert_degrees(*caps)
             checked += 1

@@ -1,18 +1,36 @@
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
-from conftest import graph, graph_edges, graph_from_dense, pairs, random_sparse_graph
+from conftest import (
+    graph,
+    graph_edges,
+    graph_from_dense,
+    pairs,
+    random_sparse_graph,
+    tie_heavy_graph,
+)
 from lexmatch.assignment import (
     Matching,
     brute_force_matching,
     hungarian_dense,
     solve_sparse_lap,
 )
-from lexmatch.em import PRIOR_CAPS, PRIOR_ONE_TO_TWO, PRIOR_TWO_TO_TWO, duplicate_and_merge
+from lexmatch.em import (
+    PRIOR_CAPS,
+    PRIOR_ONE_TO_ONE,
+    PRIOR_ONE_TO_TWO,
+    PRIOR_TWO_TO_TWO,
+    duplicate_and_merge,
+)
+
+# (target, source) caps of the priors that solve_sparse_lap solves
+MATCHING_CAPS = [PRIOR_CAPS[p] for p in (PRIOR_ONE_TO_ONE, PRIOR_ONE_TO_TWO, PRIOR_TWO_TO_TWO)]
 
 
 class TestMatching:
@@ -116,6 +134,19 @@ class TestSolveSparseLap:
         with pytest.raises(ValueError):
             solve_sparse_lap(g)
 
+    def test_two_to_two_takes_each_edge_once(self):
+        """Under 2:2 a source and a target each free for a second partner still
+        pair over their one edge only once."""
+        m = solve_sparse_lap(graph(1, 1, [[(0, 0.4)]]), 2, 2)
+        assert pairs(m) == [(0, 0)]
+        assert m.total_weight == pytest.approx(0.4)
+
+    def test_rejects_unsupported_caps(self):
+        g = graph(1, 1, [[(0, 0.4)]])
+        for caps in ((0, 1), (1, 3), (1, None)):
+            with pytest.raises(ValueError, match="caps"):
+                solve_sparse_lap(g, *caps)
+
     def test_equal_weight_tie_takes_lower_target(self):
         """A source indifferent between two targets lands on the lower id."""
         g = graph(1, 2, [[(0, 0.5), (1, 0.5)]])
@@ -188,18 +219,21 @@ class TestBruteForce:
         assert m.total_weight == pytest.approx(4.0)
 
     def test_beats_every_feasible_subset(self):
-        """The enumerated optimum outweighs every valid edge subset."""
+        """Under each prior's caps the enumerated optimum outweighs every
+        edge subset within them, and keeps them itself."""
         rng = np.random.default_rng(9)
         g = random_sparse_graph(3, 3, 7, rng)
-        best = brute_force_matching(g)
         edges = graph_edges(g)
-        for mask in range(1 << len(edges)):
-            chosen = [edges[b] for b in range(len(edges)) if mask >> b & 1]
-            if len({i for i, _, _ in chosen}) < len(chosen):
-                continue
-            if len({j for _, j, _ in chosen}) < len(chosen):
-                continue
-            assert sum(w for _, _, w in chosen) <= best.total_weight + 1e-12
+        for trg_cap, src_cap in MATCHING_CAPS:
+            best = brute_force_matching(g, trg_cap, src_cap)
+            best.assert_degrees(trg_cap, src_cap)
+            for mask in range(1 << len(edges)):
+                chosen = [edges[b] for b in range(len(edges)) if mask >> b & 1]
+                if max(Counter(i for i, _, _ in chosen).values(), default=0) > trg_cap:
+                    continue
+                if max(Counter(j for _, j, _ in chosen).values(), default=0) > src_cap:
+                    continue
+                assert sum(w for _, _, w in chosen) <= best.total_weight + 1e-12
 
     def test_size_cap(self):
         g = graph(9, 8, [[] for _ in range(9)])
@@ -207,77 +241,60 @@ class TestBruteForce:
             brute_force_matching(g)
 
 
-def tie_heavy_graph(seed, max_side):
-    """Random graph with weights in {0, 0.5, 1, 1.5}; about a quarter of sources edgeless.
-
-    A zero-weight edge ties with its source's stay-unmatched option, and
-    half-integer sums are exact, so every tie-break of the solver shows in
-    which pairs it returns.
-    """
-    rng = np.random.default_rng(seed)
-    n_src, n_trg = rng.integers(1, max_side + 1, size=2).tolist()
-    lists = []
-    for _ in range(n_src):
-        deg = 0 if rng.random() < 0.25 else int(rng.integers(1, n_trg + 1))
-        t = rng.choice(n_trg, size=deg, replace=False).tolist()
-        lists.append(list(zip(t, (rng.integers(0, 4, size=deg) / 2).tolist())))
-    return graph(n_src, n_trg, lists)
-
-
-# sha256 of the solver's trg, src and weight bytes on tie_heavy_graph(seed, 16)
-# and on its 1:2 and 2:2 expansions, for seeds 0..39; recorded from the
-# dict-based solver that preceded the first-pop exit
+# sha256 of the trg, src and weight bytes of solve_sparse_lap(g) and of the
+# 1:2 prior's solve on tie_heavy_graph(seed, 16), for seeds 0..39; recorded
+# from the solver that preceded source slots, whose 1:2 route solved the
+# source-copy expansion and merged the copies
 TIE_BREAK_DIGESTS = [
-    "03e719e292c90a1515ea0f622c7545e573e955fcb0e371b3a3ce7dbdb0a4e73a",
-    "e78811903cff7100a67d7d8967749ce8549f81cd5630d8a366402573e2b896b1",
-    "ffd1b3571c35498f2215128c54c22d5c4973a2df88c3e092537883fe93fb69ad",
-    "5ccdc0e94d31395551bf0068545a9b57dd5c28e3ef6ccee5985b8f77d0da0c6f",
-    "5f9feed0a62b8a00b9da60d60865b9791cd866c04b3b547d4dca30b2501945d6",
-    "1c30b8438440da63eab3956bb8eb0faf33d1721b31e7a095f58f72034363f6c8",
-    "ca0f315f30795e75c74aa369a496ed5ec7dab8b03b89172dbaa6c18fceeaeef0",
-    "a43918fe9c6ad34f7abd73c5bee5de1dc6b82611adaefc2a161ac4b39cc35a35",
-    "0e0c3b0ab65a94ce5c7dff2662ac01dd2c6dee1d23027df7ce306be52e0de3c4",
-    "d27bf96f7bfeddc0270f87009d6123c8f86322f38aac9348a514ee38cdc59eb2",
-    "0cc1ab716286dbdb7ff09d28c7b0a019ebe59dab93a7e57f752a2f383beb09aa",
-    "8f807b80d6e9bde7a83f2232791eaf20a96135041abb9b7e04068463a2e73af0",
-    "0967a6c6b4314ffdd3976aaea6707008959f4e38a647efab5b41eb42f985b769",
-    "8e0544e1cd19463adabcb7a2ed3c47616fede628e15baaa991fa2d8767e4333a",
-    "0241fbe55a9a405dfd82f792dc80d40eb748592e5c5f1ec3e61a4162505106cf",
-    "189c258030634e08ad39bbb65db83f76a4eeb9edac78d6e90c7620135fabb0ce",
-    "5eaec834c39895b7cb1ee7665b4702391e243bbf09b205c778af60cd49e5ba7d",
-    "1bf049ee9a0014f30d72c25409ec70a242ca86143f8d2a8fdec44816ba182683",
-    "95961d96d09ed5c0444db0e0e15034f0d8ef3c456db0ef72771665a4d64ead1d",
-    "05a67a7e453791b5dcc03bdd718ba0815b4b85b353380da3a3714eff8b3bd062",
-    "12c630092c05cc6a87b72765ebbf740ee1e60385b4c85f245be57b17c61c48c9",
-    "f03e45f7999330331fa419918f979dcae95762088d50f764b93aa6586e98a3ee",
-    "de3fc2ddb260f486930c6a627b81a2e2e0f3c68e333cfbc2f2d8ce3c56a01a88",
-    "42b55f5bae11331c4edda62294bf5dd51e109cb6724362393ae476b54c34c712",
-    "06f5a0159797fdfb1da21b97084464013b8b750713982f64e83a492dfee03ddd",
-    "97871bd9a5b2fb0abbbaef16bbfa3fe195534254907fac591f3e072229de2086",
-    "dcfcde92599b941657b66ee436005a7bb5ddee7590c8ec8e24167b45d1462b58",
-    "b7831677c8630d202e71a8c11f9484d5d77a587dc92cc432cf8bdd6978a0899d",
-    "c95166acfd410ccb77bc32da847bbbf5c6ea98d6cabdc227b47c03cddf5174cf",
-    "5b131555335bd24af23150e78d35a182f85a2e13b919395114d3bd42fbab5eed",
-    "6f073e0a59ca4f54d39ec9124338cf45290483927a3d8e330dabd55d2368f182",
-    "11f4ccb9f56236f2b59c140073f0b504bfe385f2f1e2a7217aa07c7fbe987ede",
-    "94a5c7504f87b694578ac26dcc8a12524976bced2f3d0f82537335a2178a541f",
-    "468129a825f0cfb72c3bb72361fabb6a4239696f76d3128f31142988e2d5aa68",
-    "c011bf64fe4b70e14aacef79cc6f1bbf39d21552d930c0e0ab75e1e13e573ca4",
-    "e1e0f601db326cfad5f42de6e06d8d264117286e5375eb26b692f0cde97d4f71",
-    "7e5358a87780828f9ea726b025447edf4ff313e5bb4d6e09b52f979483e13ab0",
-    "4ca08ee985f0bae981de241fde3d03cc998d818af3a9338a3ab96356982661bd",
-    "ef1a92435f6845ffbbfd49e01992efe701b12707059bf7bb4a2b5a3a597d08b3",
-    "b3b527458297a97ddb688658a4cd4e828aad6054a12527d601f05e54c8556203",
+    "421c9253330c4193981c1d40a8d04e9513348d0d57e663da1c82fdcab1b633dd",
+    "0204347bf5f2bd541e559d171e28fc51345d0be42110d0294cb13074e74fb472",
+    "2fab487d52012f960a5f7080b8d00df18e99142c95c41bfa55d743b3ea91d9bb",
+    "6109c491fa67dbe96af446da3ec7b6d2b85a34562e727c19121fc38ffdaf0a6c",
+    "9ff12034e01f95d7ea88cf8bb2d95bc24ae08d07d6ccdad09302c68dfc164ef1",
+    "4007e8530d4e95a948c7d153e642226e82654020e72cf7a50e2071d31f3d5c49",
+    "9d7289340681c68a8af5658aca4ebe0d0657bc88dd1d44de8e39826a57ca9cc1",
+    "dd784fe31654c9686db195a799e9ebd46dad8de14e5bbc6f5c0f6a1be85fb6f9",
+    "0f7381b7e2ec31b89b64d798e4b550115266fe9a0bccb391cd17914e12c31f40",
+    "62399a1d2140de6d4645f44c5245d9baf6c99597e25f6da94db2a65620127b57",
+    "e9f76b3b41def017b483bb2c8ced9e2417389b995c1975256e6dabc167a4fba5",
+    "8cea8cfa4e90221b0c33532ba0072ca2131a806fe752ee83ac084659cabe5884",
+    "be1eb6720fca386c094b5651bf07c21c58c40c340d64ceae72d4b1d47387968b",
+    "b59542d4d5e70f80c1ecace7c532358a7fd5226ba4770ff2a6155b66f59c372b",
+    "93f2c41eafabe71c1933e9627c33232c69c3702de260994bdab4197d14feeb8b",
+    "9d2c7e41177940fdf7fc84c0988f7363156d45153e9c16786cb8d682b2e2fe74",
+    "a9da991bc1e204d053510b67b533a21ab3a8ab24a9dea2ab9825dce3c3b810c5",
+    "00d6aa0a6574b764f4db77daf61e515b09a206a10d5ad810bc98df3113a9ff48",
+    "97c7761fd10278318a26b8643460eb3b0daf48b84338b05316314f5b5062bc1f",
+    "882ba1a6b5dd8619680a91658c993619a0dc0dc4265ff6b3962ff6f6af7a538b",
+    "aa237de40798b33deed4be701bd33876b25f2ae514acc2e370247f8014916936",
+    "47d5faf601d2796d1357a15b5ce03b41bb24a248adc2f85bd974608e3f84f34e",
+    "e46248e99552356d30d2679beff502ddb2e951e00d58a57f9eb8020d6bf11d75",
+    "43fe242e5d8a3f0b4d964b3824b87afa329724283a10d8a82eff039482be8f22",
+    "1efbd5711a8df45b8b43a0a5bd145ce24975e6a126cc2f9aaa8aef9ca088d5b2",
+    "b5eeba4fd765cb44027c2361373fcf545f03b6738662bd58fa4485698e9ffe60",
+    "fb4b181a5afa5e8d947bbdbf6078222f2b68f0d6e79b0c402d7d97d79e341cfa",
+    "5098bd4389e02ef95cb54bbce98a8ef61d15e73b81d78793659f8a488cc031dd",
+    "097784aad02a4b44d63db4501e3ef4d3c9d14deb41d64423353c7d5e8a2b2e10",
+    "f330718473e02077694a1e77416e6ed1a722c7d0c104d76fa1eded38fb7296da",
+    "8d153bd1b2400a382798056e175c085942246544518ed5c03caea6a4eec60868",
+    "a51354a73f1a1ba02bea5271bcf5d426707ac94077477b034605bab456ff4b81",
+    "dafc8a9acaef4630998b20bee9db107efa411d4065986e8a20e06ef10b003e08",
+    "d2a761d31c7793898e2c3d0d2c45b7816823c4ed4c5d989fb50ba03aaf13ae09",
+    "7e86755e4a8d373d0e32a611188b3e3a0dccec28b9e9dd2265715102dcb44f52",
+    "e1eb96ce6c65b3856bb11599c76765011f333e67775ff445679aef1d75275d39",
+    "f52d431463ee7c65c9665793a024884ca3a3c85acad68a8e5c5ca9bfda2ea037",
+    "085317bbc98289f4366f988241ded3667ace2dd13aaf56df8722adc0090d5a41",
+    "d9d731cb6718acaf5878bdfacbceeb17cee52508f3bbdf4c9615bc47c3fcbc5c",
+    "f6f6085387044cbde93786b567889a8230e53ad7ebcaa992cd9be3b4a85e0bc1",
 ]
 
 
 @pytest.mark.parametrize("seed", range(len(TIE_BREAK_DIGESTS)))
 def test_tie_breaks_reproduce_recorded_matchings(seed):
-    """Tie-heavy solves, 1:1, 1:2 and 2:2, return the recorded pair bytes."""
+    """Tie-heavy solves, 1:1 and 1:2, return the recorded pair bytes."""
     g = tie_heavy_graph(seed, 16)
     h = hashlib.sha256()
-    expansions = [duplicate_and_merge(g, p)[0] for p in (PRIOR_ONE_TO_TWO, PRIOR_TWO_TO_TWO)]
-    for m in map(solve_sparse_lap, [g, *expansions]):
+    for m in (solve_sparse_lap(g), solve_sparse_lap(g, 1, 2)):
         h.update(m.trg.tobytes() + m.src.tobytes() + m.weight.tobytes())
     assert h.hexdigest() == TIE_BREAK_DIGESTS[seed]
 
@@ -285,9 +302,46 @@ def test_tie_breaks_reproduce_recorded_matchings(seed):
 @settings(deadline=None, max_examples=80)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_half_integer_weights_reach_the_optimum(seed):
-    """Tied weights still give the brute-force total; merged priors keep their caps."""
-    g = tie_heavy_graph(seed, 8)
-    assert solve_sparse_lap(g).total_weight == brute_force_matching(g).total_weight
-    for prior in (PRIOR_ONE_TO_TWO, PRIOR_TWO_TO_TWO):
-        expanded, merge = duplicate_and_merge(g, prior)
-        merge(solve_sparse_lap(expanded)).assert_degrees(*PRIOR_CAPS[prior])
+    """Tied weights still give the capped brute-force total under every matching prior."""
+    # enumerating two edges per source grows too slow past 6 vertices a side
+    for max_side, caps in ((8, (1, 1)), *((6, caps) for caps in MATCHING_CAPS)):
+        g = tie_heavy_graph(seed, max_side)
+        m = solve_sparse_lap(g, *caps)
+        assert m.total_weight == brute_force_matching(g, *caps).total_weight
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_one_to_two_slots_reproduce_the_source_copy(seed):
+    """The 1:2 prior's slots return the merged solve of the source-copy expansion, byte for byte."""
+    g = tie_heavy_graph(seed, 12)
+    expanded, merge = duplicate_and_merge(g)
+    m, ref = solve_sparse_lap(g, 1, 2), merge(solve_sparse_lap(expanded))
+    assert m.trg.tobytes() == ref.trg.tobytes()
+    assert m.src.tobytes() == ref.src.tobytes()
+    assert m.weight.tobytes() == ref.weight.tobytes()
+
+
+def test_two_to_two_reaches_the_lp_optimum_at_benchmark_size():
+    """2:2 on 1000 sources x 1000 targets with 20 candidates each, most of them
+    among a few hundred popular targets, totals the LP optimum.  The
+    bipartite b-matching LP is integral, so its optimum is the prior's."""
+    rng = np.random.default_rng(2008)
+    ns = nt = 1000
+    popularity = 1.0 / (np.arange(nt) + 20.0)
+    lists = []
+    for _ in range(ns):
+        t = rng.choice(nt, size=20, replace=False, p=popularity / popularity.sum())
+        lists.append(list(zip(t.tolist(), rng.uniform(0.0, 1.0, size=20).tolist())))
+    g = graph(ns, nt, lists)
+    m = solve_sparse_lap(g, 2, 2)
+    m.assert_degrees(2, 2)
+    e = np.arange(g.n_edges)
+    incidence = np.zeros((ns + nt, g.n_edges))
+    incidence[np.repeat(np.arange(ns), np.diff(g.indptr)), e] = 1.0
+    incidence[ns + g.targets, e] = 1.0
+    lp = linprog(-g.weights, A_ub=incidence, b_ub=np.full(ns + nt, 2.0), bounds=(0, 1),
+                 method="highs")
+    assert lp.status == 0
+    assert m.total_weight == pytest.approx(-lp.fun, rel=1e-9)
+    assert len(m) > ns  # sources do take second targets

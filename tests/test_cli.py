@@ -5,11 +5,12 @@ import os
 import platform
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import unit_columns, write_planted_numerals
+from conftest import random_orthogonal, unit_columns, write_planted_numerals
 import lexmatch.cli
 from lexmatch.cli import main
 from lexmatch.em import ModelParams, save_model
@@ -180,6 +181,70 @@ def model(planted, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("model")
     assert induce(planted, tmp, "--model-out", str(tmp / "model.npz")) == 0
     return str(tmp / "model.npz")
+
+
+def read_dictionary(path):
+    return [tuple(line.split("\t")[:2]) for line in path.read_text().splitlines()]
+
+
+def test_two_to_two_prior_gives_second_partners(tmp_path):
+    """On clustered words, --prior 2:2 writes a dictionary other than 1:1's,
+    in which some source and some target take two partners and none more."""
+    rng = np.random.default_rng(12)
+    n, d = 60, 20
+    centres = rng.standard_normal((d, n // 5))
+    S = unit_columns(np.repeat(centres, 5, axis=1) + 0.3 * rng.standard_normal((d, n)))
+    T = unit_columns(random_orthogonal(d, rng) @ S + 0.1 * rng.standard_normal((d, n)))
+    src, trg = [f"s{j}" for j in range(n)], [f"t{j}" for j in range(n)]
+    save_embeddings(tmp_path / "src.vec", Lexicon(src), EmbeddingMatrix(d, S))
+    save_embeddings(tmp_path / "trg.vec", Lexicon(trg), EmbeddingMatrix(d, T))
+    (tmp_path / "seed.tsv").write_text("".join(f"s{j}\tt{j}\n" for j in range(0, n, 3)))
+    dicts = {}
+    for prior in ("1:1", "2:2"):
+        out = tmp_path / f"{prior.replace(':', '')}.tsv"
+        assert main([
+            "induce", "--src-emb", str(tmp_path / "src.vec"),
+            "--trg-emb", str(tmp_path / "trg.vec"), "--seed", f"tsv:{tmp_path / 'seed.tsv'}",
+            "--prior", prior, "--k", "5", "--max-iters", "3", "--out-dict", str(out),
+            "--report", str(tmp_path / "report.json"), "--quiet",
+        ]) == 0
+        dicts[prior] = read_dictionary(out)
+    assert dicts["2:2"] != dicts["1:1"]
+    src_deg = Counter(s for s, _ in dicts["2:2"])
+    trg_deg = Counter(t for _, t in dicts["2:2"])
+    assert max(src_deg.values()) == 2 and max(trg_deg.values()) == 2
+
+
+def test_zero_vector_under_normalize_none_counts_as_cosine_zero(tmp_path):
+    """A zero source vector left in place by --normalize none adds a cosine of
+    0 to the mean instead of NaN, so the mean-cosine stop test can fire."""
+    (tmp_path / "src.vec").write_text("3 2\na 0 0\nb 1 0\nc 0 1\n")
+    (tmp_path / "trg.vec").write_text("3 2\nx 1 0\ny 0 1\nz 0.6 0.8\n")
+    (tmp_path / "seed.tsv").write_text("b\tx\nc\ty\n")
+    assert main([
+        "induce", "--src-emb", str(tmp_path / "src.vec"),
+        "--trg-emb", str(tmp_path / "trg.vec"), "--seed", f"tsv:{tmp_path / 'seed.tsv'}",
+        "--normalize", "none", "--max-iters", "10", "--out-dict", str(tmp_path / "d.tsv"),
+        "--report", str(tmp_path / "report.json"), "--quiet",
+    ]) == 0
+    assert ("a", "z") in read_dictionary(tmp_path / "d.tsv")
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [r["mean_cosine"] for r in report["trace"]] == [2 / 3, 2 / 3]
+    assert report["result"]["stop_reason"] == "converged"
+
+
+def test_all_zero_source_fails_every_evaluation_command(planted, model, tmp_path, capsys):
+    """evaluate, hubness and query exit 1 on a source file whose every vector is zero."""
+    zero = tmp_path / "zero.vec"
+    save_embeddings(zero, Lexicon(planted["src_words"]), EmbeddingMatrix(8, np.zeros((8, 40))))
+    common = ["--model", model, "--src-emb", str(zero), "--trg-emb", planted["trg"]]
+    for argv in (
+        ["evaluate", *common, "--eval-dict", planted["gold"]],
+        ["hubness", *common, "--queries", planted["gold"], "--out", str(tmp_path / "h.tsv")],
+        ["query", *common, "--word", planted["src_words"][0]],
+    ):
+        assert main(argv) == 1
+        assert "all 40 vectors are zero" in capsys.readouterr().err
 
 
 class TestEvaluate:

@@ -217,43 +217,22 @@ class TestMStep:
 
 
 class TestDuplicateAndMerge:
-    def one_edge_graph(self):
-        return graph(1, 1, [[(0, 0.4)]])
-
-    def test_two_to_two_dedups(self):
-        """2:2 copies may pair both clones; the merge reports the edge once."""
-        g = self.one_edge_graph()
-        g2, merge = duplicate_and_merge(g, PRIOR_TWO_TO_TWO)
-        assert g2.n_src == 2 and g2.n_trg == 2 and g2.n_edges == 4
-        from lexmatch.assignment import solve_sparse_lap
-
-        merged = merge(solve_sparse_lap(g2))
-        assert pairs(merged) == [(0, 0)]
-        assert merged.total_weight == pytest.approx(0.4)
-
     def test_one_to_two_keeps_both_targets(self):
         """1:2 lets one source serve two targets through its clone."""
         g = graph(1, 2, [[(0, 0.4), (1, 0.3)]])
-        g2, merge = duplicate_and_merge(g, PRIOR_ONE_TO_TWO)
+        g2, merge = duplicate_and_merge(g)
         assert g2.n_src == 2 and g2.n_trg == 2
-        from lexmatch.assignment import solve_sparse_lap
-
         merged = merge(solve_sparse_lap(g2))
         assert pairs(merged) == [(0, 0), (1, 0)]
         assert merged.total_weight == pytest.approx(0.7)
         merged.assert_degrees(trg_cap=1, src_cap=2)
 
-    def test_one_to_one_rejected(self):
-        with pytest.raises(ValueError):
-            duplicate_and_merge(self.one_edge_graph(), PRIOR_ONE_TO_ONE)
-
     @settings(deadline=None, max_examples=80)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_expansion_rows_and_merge(self, seed):
-        """Row r of the 1:2 expansion is original row r % ns; under 2:2 it is
-        that row followed by the same row shifted by nt.  Edge order inside a
-        row is kept, since the solver's tie-breaks follow it.  The merge
-        equals first-seen dedup of (target % nt, source % ns) pairs."""
+        """Row r of the 1:2 expansion is original row r % ns, edge order kept,
+        since the solver's tie-breaks follow it.  The merge maps each pair's
+        source copy back to its source."""
         rng = np.random.default_rng(seed)
         ns, nt = int(rng.integers(1, 7)), int(rng.integers(1, 7))
         g = random_sparse_graph(ns, nt, int(rng.integers(0, ns * nt + 1)), rng)
@@ -263,25 +242,18 @@ class TestDuplicateAndMerge:
             order = rng.permutation(t.size)
             lists.append(list(zip(t[order].tolist(), w[order].tolist())))
         g = graph(ns, nt, lists)
-        for prior in (PRIOR_ONE_TO_TWO, PRIOR_TWO_TO_TWO):
-            both = prior == PRIOR_TWO_TO_TWO
-            expanded, merge = duplicate_and_merge(g, prior)
-            expanded.validate()
-            assert (expanded.n_src, expanded.n_trg) == (2 * ns, 2 * nt if both else nt)
-            for r in range(2 * ns):
-                t, w = g.edges_of(r % ns)
-                want_t, want_w = t.tolist(), w.tolist()
-                if both:
-                    want_t, want_w = want_t + [i + nt for i in want_t], want_w * 2
-                got_t, got_w = expanded.edges_of(r)
-                assert got_t.tolist() == want_t and got_w.tolist() == want_w
-            m = solve_sparse_lap(expanded)
-            first = {}
-            for i, j, w in zip(m.trg.tolist(), m.src.tolist(), m.weight.tolist()):
-                first.setdefault((i % nt, j % ns), w)
-            merged = merge(m)
-            assert pairs(merged) == sorted(first)
-            assert merged.weight.tolist() == [first[p] for p in sorted(first)]
+        expanded, merge = duplicate_and_merge(g)
+        expanded.validate()
+        assert (expanded.n_src, expanded.n_trg) == (2 * ns, nt)
+        for r in range(2 * ns):
+            t, w = g.edges_of(r % ns)
+            got_t, got_w = expanded.edges_of(r)
+            assert got_t.tolist() == t.tolist() and got_w.tolist() == w.tolist()
+        m = solve_sparse_lap(expanded)
+        merged = merge(m)
+        got = zip(merged.trg.tolist(), merged.src.tolist(), merged.weight.tolist())
+        want = zip(m.trg.tolist(), m.src.tolist(), m.weight.tolist())
+        assert list(got) == sorted((i, j % ns, w) for i, j, w in want)
 
 
 class TestRunEm:

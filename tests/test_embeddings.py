@@ -335,6 +335,8 @@ def old_normalize(words, data, scheme, drop_zero):
         return list(words), data.copy()
     if drop_zero:
         keep = np.linalg.norm(data, axis=0) != 0.0
+        if not keep.any():
+            raise ValueError(f"all {len(words)} vectors are zero; no word is left")
         if not np.all(keep):
             words = [w for w, k in zip(words, keep) if k]
             data = data[:, keep]
@@ -348,10 +350,7 @@ def old_normalize(words, data, scheme, drop_zero):
 def normalize_outcome(normalize):
     """(words, shape, float64 bytes) from normalize(), or the error it raises."""
     try:
-        with warnings.catch_warnings():
-            # dropping every column leaves an empty mean to subtract
-            warnings.simplefilter("ignore", RuntimeWarning)
-            words, out = normalize()
+        words, out = normalize()
     except ValueError as exc:
         return "error", str(exc)
     return words, out.shape, out.tobytes()
@@ -436,6 +435,16 @@ class TestNormalize:
         mat = EmbeddingMatrix(2, np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="'zed'"):
             normalize_pair(Lexicon(["ok", "zed"]), mat, NORM_UNIT)
+
+    @pytest.mark.parametrize("scheme", [NORM_UNIT, NORM_UNIT_CENTER_UNIT])
+    def test_drop_zero_of_every_column_raises(self, scheme):
+        """An all-zero matrix leaves no word to normalize: it raises, without
+        numpy's warning about an empty mean."""
+        mat = EmbeddingMatrix(3, np.zeros((3, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="all 2 vectors are zero"):
+                normalize_pair(Lexicon(["a", "b"]), mat, scheme, drop_zero=True)
 
     def test_drop_zero_removes_from_both_sides(self):
         """normalize_pair(drop_zero=True) drops zero vectors and their words."""
