@@ -18,14 +18,13 @@ from lexmatch.em import (
     EmCollapseError,
     EmConfig,
     EmTrace,
+    Model,
     ModelParams,
-    TrainedSpace,
     centroid,
     duplicate_and_merge,
     e_step_matching,
     e_step_one_to_many,
     load_model,
-    load_trained_space,
     m_step,
     procrustes,
     run_em,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import functools
 import hashlib
 import json
@@ -17,9 +18,8 @@ from lexmatch.em import (
     PRIOR_ONE_TO_ONE,
     PRIOR_ONE_TO_TWO,
     PRIOR_TWO_TO_TWO,
-    TrainedSpace,
+    Model,
     load_model,
-    load_trained_space,
     run_em,
     save_model,
 )
@@ -174,10 +174,9 @@ def cmd_induce(args) -> int:
 
     if args.model_out:
         dropped = tuple(w for w in lex_loaded.words if w not in lex_src)
-        space = TrainedSpace(
-            S.center, T.center, src_hash.hexdigest() if src_hash else "", dropped
-        )
-        save_model(args.model_out, params, args.normalize, space)
+        digest = src_hash.hexdigest() if src_hash else ""
+        model = Model(params, args.normalize, S.center, T.center, digest, dropped)
+        save_model(args.model_out, model)
 
     t_end = time.perf_counter()
     report = {
@@ -188,18 +187,7 @@ def cmd_induce(args) -> int:
             "seed": args.seed,
             "vocab_size": args.vocab_size,
         },
-        "config": {
-            "k": config.k,
-            "rank_restrict": list(config.rank_restrict) if config.rank_restrict else None,
-            "convergence_eps": config.convergence_eps,
-            "max_iters": config.max_iters,
-            "prior": config.prior,
-            "normalization": args.normalize,
-            "min_iters": config.min_iters,
-            "update_mu": config.update_mu,
-            "pin_seed": config.pin_seed,
-            "threads": config.threads,
-        },
+        "config": {**dataclasses.asdict(config), "normalization": args.normalize},
         "seed_dictionary": {
             "provenance": seed.provenance,
             "pairs": len(seed),
@@ -214,15 +202,7 @@ def cmd_induce(args) -> int:
             "total_weight": float(result.total_weight),
             "final_mean_cosine": trace.records[-1].mean_cosine if trace.records else None,
         },
-        "trace": [
-            {
-                "iteration": r.iteration,
-                "matched": r.matched,
-                "total_weight": r.total_weight,
-                "mean_cosine": r.mean_cosine,
-            }
-            for r in trace.records
-        ],
+        "trace": [dataclasses.asdict(r) for r in trace.records],
         "timings": {
             "load_s": t_loaded - t_start,
             "train_s": t_trained - t_loaded,
@@ -238,30 +218,27 @@ def cmd_induce(args) -> int:
 
 
 def _load_model_and_embeddings(args, src_words):
-    """The model and both vocabularies, normalized as training normalized them.
+    """The model's params and both vocabularies, normalized as training normalized them.
 
     Only the source rows of src_words (and of the words training dropped)
     are parsed when the source is the file the model was trained on; see
     load_embeddings.
     """
-    params, scheme = load_model(args.model)
-    space = load_trained_space(args.model)
-    lex_src, S = load_embeddings(
-        args.src_emb, words=set(src_words).union(space.src_dropped), sha256=space.src_sha256
-    )
-    _check_dim(args.src_emb, S, params)
-    lex_trg, T = load_embeddings(args.trg_emb)
-    _check_dim(args.trg_emb, T, params)
-    lex_src, S = normalize_pair(lex_src, S, scheme, drop_zero=True, center=space.src_center)
-    lex_trg, T = normalize_pair(lex_trg, T, scheme, drop_zero=True, center=space.trg_center)
-    return params, lex_src, S, lex_trg, T
-
-
-def _check_dim(path, matrix, params) -> None:
-    if matrix.dim != params.dim:
-        raise ValueError(
-            f"{path}: embedding dimension {matrix.dim} does not match the model's {params.dim}"
-        )
+    model = load_model(args.model)
+    subset = {"words": set(src_words).union(model.src_dropped), "sha256": model.src_sha256}
+    sides = []
+    for path, kwargs, center in (
+        (args.src_emb, subset, model.src_center),
+        (args.trg_emb, {}, model.trg_center),
+    ):
+        lex, matrix = load_embeddings(path, **kwargs)
+        if matrix.dim != model.params.dim:
+            raise ValueError(
+                f"{path}: embedding dimension {matrix.dim} does not match "
+                f"the model's {model.params.dim}"
+            )
+        sides += normalize_pair(lex, matrix, model.normalization, drop_zero=True, center=center)
+    return (model.params, *sides)
 
 
 def cmd_evaluate(args) -> int:

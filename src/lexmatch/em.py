@@ -19,6 +19,7 @@ prior's degree caps, on the candidate graph itself.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -100,8 +101,8 @@ class EmConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.convergence_eps <= 0:
-            raise ValueError(f"convergence_eps must be > 0, got {self.convergence_eps}")
+        if not 0 < self.convergence_eps < math.inf:
+            raise ValueError(f"convergence_eps must be finite and > 0, got {self.convergence_eps}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if self.min_iters < 1:
@@ -375,51 +376,53 @@ def run_em(
 
 
 @dataclass
-class TrainedSpace:
-    """What evaluation needs to rebuild the space that induce trained in.
+class Model:
+    """Trained parameters and what evaluation needs to rebuild their space.
 
-    src_center and trg_center are the unit_center_unit centring vectors as
-    training computed them (None under the other schemes).  src_sha256 is
-    the hex sha256 of the source file, "" unless induce parsed and checked
-    every row of it; src_dropped lists the source words that training
-    dropped as zero vectors.
+    normalization is the scheme training applied to both sides.  src_center
+    and trg_center are the unit_center_unit centring vectors as training
+    computed them (None under the other schemes).  src_sha256 is the hex
+    sha256 of the source file, "" unless induce parsed and checked every row
+    of it; src_dropped lists the source words that training dropped as zero
+    vectors.
     """
 
+    params: ModelParams
+    normalization: str
     src_center: np.ndarray | None = None
     trg_center: np.ndarray | None = None
     src_sha256: str = ""
     src_dropped: tuple[str, ...] = ()
 
 
-def save_model(
-    path: str, params: ModelParams, normalization: str, space: TrainedSpace = TrainedSpace()
-) -> None:
-    """Write params to a self-describing .npz container (bit-exact round-trip).
+def save_model(path: str, model: Model) -> None:
+    """Write model to a self-describing .npz container (bit-exact round-trip).
 
     Format version 2; version 1 had no centring vectors, digest or dropped
-    words, and load_trained_space reads it as an empty TrainedSpace.
+    words.
     """
-    if normalization not in NORMALIZATION_SCHEMES:
-        raise ValueError(f"unknown normalization {normalization!r}")
-    params.validate()
+    if model.normalization not in NORMALIZATION_SCHEMES:
+        raise ValueError(f"unknown normalization {model.normalization!r}")
+    model.params.validate()
     empty = np.zeros(0)
     with open(path, "wb") as fh:
         np.savez(
             fh,
             format_version=np.int64(2),
-            dim=np.int64(params.dim),
-            omega=params.omega,
-            mu=params.mu,
-            normalization=normalization,
-            src_center=empty if space.src_center is None else space.src_center,
-            trg_center=empty if space.trg_center is None else space.trg_center,
-            src_sha256=space.src_sha256,
-            src_dropped=np.array(space.src_dropped, dtype=str),
+            dim=np.int64(model.params.dim),
+            omega=model.params.omega,
+            mu=model.params.mu,
+            normalization=model.normalization,
+            src_center=empty if model.src_center is None else model.src_center,
+            trg_center=empty if model.trg_center is None else model.trg_center,
+            src_sha256=model.src_sha256,
+            src_dropped=np.array(model.src_dropped, dtype=str),
         )
 
 
-def load_model(path: str) -> tuple[ModelParams, str]:
-    """Read a model container; re-validates orthogonality."""
+def load_model(path: str) -> Model:
+    """Read and check a model container; version 1 gives an empty digest,
+    no centring vectors and no dropped words."""
     with np.load(path, allow_pickle=False) as data:
         version = int(data["format_version"])
         if version not in (1, 2):
@@ -428,6 +431,10 @@ def load_model(path: str) -> tuple[ModelParams, str]:
         omega = data["omega"]
         mu = data["mu"]
         normalization = str(data["normalization"][()])
+        v2 = version == 2
+        centers = [data[k] if v2 else np.zeros(0) for k in ("src_center", "trg_center")]
+        src_sha256 = str(data["src_sha256"][()]) if v2 else ""
+        src_dropped = tuple(data["src_dropped"].tolist()) if v2 else ()
     if omega.shape != (d, d) or mu.shape != (d,):
         raise ValueError(
             f"model arrays inconsistent with dim {d}: {omega.shape}, {mu.shape}"
@@ -436,24 +443,11 @@ def load_model(path: str) -> tuple[ModelParams, str]:
         raise ValueError(f"model declares unknown normalization {normalization!r}")
     params = ModelParams(omega, mu)
     params.validate()
-    return params, normalization
-
-
-def load_trained_space(path: str) -> TrainedSpace:
-    """The TrainedSpace of a model that load_model accepts; empty for version 1."""
-    with np.load(path, allow_pickle=False) as data:
-        if int(data["format_version"]) == 1:
-            return TrainedSpace()
-        d = int(data["dim"])
-        centers = [data["src_center"], data["trg_center"]]
-        space = TrainedSpace(
-            *(c if c.size else None for c in centers),
-            src_sha256=str(data["src_sha256"][()]),
-            src_dropped=tuple(data["src_dropped"].tolist()),
-        )
     for c in centers:
         if c.size and (c.shape != (d,) or not np.all(np.isfinite(c))):
             raise ValueError(
                 f"model centring vectors must be finite with shape ({d},), got shape {c.shape}"
             )
-    return space
+    return Model(
+        params, normalization, *(c if c.size else None for c in centers), src_sha256, src_dropped
+    )

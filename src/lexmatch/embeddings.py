@@ -9,10 +9,10 @@ word2vec text format: a "n d" header line followed by n lines of
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import os
-import stat
 import warnings
 from collections.abc import Collection
 from dataclasses import dataclass, field
@@ -122,75 +122,61 @@ def load_embeddings(
     the whole file when max_vocab is None.
 
     words and sha256 together ask for the rows of those words only, from a
-    file that was parsed in full before.  If path is a regular file whose
-    sha256 hex digest is sha256, the file streams through the hash and only
-    the rows of words, plus the first row of any other word, are parsed as
-    they pass, block by block, into a C-contiguous (dim, m) matrix in file
-    order.  The extra row keeps m >= 2: numpy reduces a (dim, 1) column
+    file that was parsed in full before.  If path is a regular file, the
+    same forward pass reads it, through a sha256 hash, but parses only the
+    rows of words, plus the first row of any other word, into a C-contiguous
+    (dim, m) matrix in file order; the end-of-file check is left out.  That
+    matrix is returned if the hex digest of the bytes the pass read is
+    sha256.  The extra row keeps m >= 2: numpy reduces a (dim, 1) column
     pairwise, so its norm could differ in the last bit from the same
     column's norm in a wider matrix.  In every other case (another digest,
     no digest, max_vocab, a pipe) every row is parsed and checked as above,
     so a row that no caller asked for still fails with its line number
     unless the file is the one that passed before.
     """
-    if words is not None and sha256 and max_vocab is None and _is_regular(path):
-        subset = _load_rows_of(path, words, sha256)
-        if subset is not None:
-            return subset
+    if words is not None and sha256 and max_vocab is None and os.path.isfile(path):
+        digest = hashlib.sha256()
+        # an error here means another file than the one that passed before,
+        # which the full parse below reports with its true line number
+        with contextlib.suppress(ValueError):
+            subset = _read_rows(path, digest, None, words)
+            if digest.hexdigest() == sha256:
+                return subset
+    return _read_rows(path, hasher, max_vocab)
+
+
+def _read_rows(
+    path: str, hasher, max_vocab: int | None, words: Collection[str] | None = None
+) -> tuple[Lexicon, EmbeddingMatrix]:
+    """The one pass of load_embeddings: every row, the first max_vocab, or
+    (words given) the rows of words and the first row of any other word."""
     names: list[str] = []
     seen: dict[str, int] = {}
     with _open_text(path, hasher) as fh:
         n_declared, dim = _read_header(fh)
-        n_keep = n_declared if max_vocab is None else min(n_declared, max_vocab)
+        n_rows = n_declared if max_vocab is None else min(n_declared, max_vocab)
+        lines = islice(fh, n_rows)
+        if words is not None:
+            lines = _scored_lines(lines, words)
+            n_rows = min(n_rows, len(words) + 1)
         # filled in the matrix's own (dim, n) layout through transposed views
-        data = np.empty((dim, n_keep))
+        data = np.empty((dim, n_rows))
         block_rows = max(1, BLOCK_VALUES // dim)
-        for lo in range(0, n_keep, block_rows):
-            want = min(block_rows, n_keep - lo)
-            lines = list(islice(fh, want))
-            _fill_rows(lines, lo + 2, data[:, lo : lo + len(lines)].T, names, seen)
-            if len(lines) < want:
-                raise ValueError(
-                    f"line {lo + len(lines) + 2}: unexpected end of file, "
-                    f"header declared {n_declared} rows"
-                )
+        m = 0
+        while block := list(islice(lines, block_rows)):
+            _fill_rows(block, m + 2, data[:, m : m + len(block)].T, names, seen)
+            m += len(block)
+        if words is None and m < n_rows:
+            raise ValueError(
+                f"line {m + 2}: unexpected end of file, header declared {n_declared} rows"
+            )
         if max_vocab is None:
-            for lineno, line in enumerate(fh, start=n_keep + 2):
+            # reads the file to its end, through the hash
+            for lineno, line in enumerate(fh, start=n_declared + 2):
                 if line.strip():
                     raise ValueError(
                         f"line {lineno}: row beyond the {n_declared} the header declares"
                     )
-
-    return Lexicon(names), EmbeddingMatrix(dim, data)
-
-
-def _load_rows_of(
-    path: str, words: Collection[str], sha256: str
-) -> tuple[Lexicon, EmbeddingMatrix] | None:
-    """The subset read of load_embeddings; None if the file is not the one
-    whose digest is sha256."""
-    hasher = hashlib.sha256()
-    names: list[str] = []
-    seen: dict[str, int] = {}
-    with _open_text(path, hasher) as fh:
-        n_declared, dim = _read_header(fh)
-        data = np.empty((dim, min(n_declared, len(words) + 1)))
-        block_rows = max(1, BLOCK_VALUES // dim)
-        kept = _scored_lines(islice(fh, n_declared), words)
-        m = 0
-        try:
-            # the file passed the full parse if its digest matches, so the
-            # line numbers given here never reach an error message; an error
-            # means another file, which the full parse then reports
-            while block := list(islice(kept, block_rows)):
-                _fill_rows(block, m + 2, data[:, m : m + len(block)].T, names, seen)
-                m += len(block)
-            for _ in fh:
-                pass
-        except ValueError:
-            return None
-    if hasher.hexdigest() != sha256:
-        return None
     return Lexicon(names), EmbeddingMatrix(dim, data[:, :m])
 
 
@@ -203,13 +189,6 @@ def _scored_lines(lines, words: Collection[str]):
         elif other:
             other = False
             yield line
-
-
-def _is_regular(path: str) -> bool:
-    try:
-        return stat.S_ISREG(os.stat(path).st_mode)
-    except OSError:
-        return False
 
 
 class _HashedReader(io.RawIOBase):

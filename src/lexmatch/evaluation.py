@@ -155,7 +155,8 @@ def word_similarity(
 
     Tied ranks are averaged (scipy's convention).  Triples with an
     out-of-vocabulary word on either side are skipped; coverage reports
-    the surviving fraction.  At least two usable triples are required.
+    the surviving fraction.  At least two usable triples are required, and
+    neither the gold scores nor the cosines may be all equal.
     """
     src_ids: list[int] = []
     trg_ids: list[int] = []
@@ -173,7 +174,10 @@ def word_similarity(
     q = _mapped_unit_queries(params, S, np.array(src_ids, dtype=np.int64))
     t = _unit_cols(T.data[:, np.array(trg_ids, dtype=np.int64)])
     cos = np.einsum("ij,ij->j", t, q)
-    rho = spearmanr(np.asarray(golds), cos).statistic
+    for name, x in (("gold scores", np.asarray(golds)), ("cosines", cos)):
+        if (x == x[0]).all():
+            raise ValueError(f"the {name} are constant; Spearman's correlation is undefined")
+    rho = spearmanr(golds, cos).statistic
     return float(rho), len(golds) / len(triples)
 
 

@@ -13,7 +13,7 @@ import pytest
 from conftest import random_orthogonal, unit_columns, write_planted_numerals
 import lexmatch.cli
 from lexmatch.cli import main
-from lexmatch.em import ModelParams, save_model
+from lexmatch.em import Model, ModelParams, save_model
 from lexmatch.embeddings import NORM_UNIT, EmbeddingMatrix, Lexicon, save_embeddings
 
 
@@ -233,6 +233,37 @@ def test_zero_vector_under_normalize_none_counts_as_cosine_zero(tmp_path):
     assert report["result"]["stop_reason"] == "converged"
 
 
+def strict_json(text):
+    """json.loads that fails on NaN, Infinity and -Infinity."""
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "0", "-1e-6"])
+def test_eps_must_be_finite_and_positive(tmp_path, capsys, eps):
+    """--eps nan or inf would disable the stop test and write a report that is
+    not JSON; they fail with one error line and write nothing."""
+    (tmp_path / "src.vec").write_text("3 2\na 0.8 0.6\nb 1 0\nc 0 1\n")
+    (tmp_path / "trg.vec").write_text("3 2\nx 1 0\ny 0 1\nz 0.6 0.8\n")
+    (tmp_path / "seed.tsv").write_text("b\tx\nc\ty\n")
+    argv = [
+        "induce", "--src-emb", str(tmp_path / "src.vec"),
+        "--trg-emb", str(tmp_path / "trg.vec"), "--seed", f"tsv:{tmp_path / 'seed.tsv'}",
+        "--max-iters", "7", "--out-dict", str(tmp_path / "d.tsv"),
+        "--report", str(tmp_path / "report.json"), "--quiet",
+    ]
+    assert main([*argv, f"--eps={eps}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: convergence_eps must be finite and > 0") and err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
+    assert main([*argv, "--eps", "1e-6"]) == 0
+    report = strict_json((tmp_path / "report.json").read_text())
+    assert report["config"]["convergence_eps"] == 1e-6
+    assert report["result"]["stop_reason"] == "converged"
+    assert report["result"]["iterations"] < 7
+
+
 def test_all_zero_source_fails_every_evaluation_command(planted, model, tmp_path, capsys):
     """evaluate, hubness and query exit 1 on a source file whose every vector is zero."""
     zero = tmp_path / "zero.vec"
@@ -281,7 +312,7 @@ class TestEvaluate:
         S = np.tile(np.array([[1.0], [0.0]]), (1, 3))
         save_embeddings(tmp_path / "s.vec", Lexicon(["a", "b", "c"]), EmbeddingMatrix(2, S))
         save_embeddings(tmp_path / "t.vec", Lexicon(["X", "Y", "Z"]), EmbeddingMatrix(2, T))
-        save_model(str(tmp_path / "m.npz"), ModelParams(np.eye(2), np.zeros(2)), NORM_UNIT)
+        save_model(str(tmp_path / "m.npz"), Model(ModelParams(np.eye(2), np.zeros(2)), NORM_UNIT))
         (tmp_path / "ws.tsv").write_text("a\tX\t1\nb\tY\t2\nc\tZ\t3\n")
         rc = main([
             "evaluate",
@@ -294,6 +325,35 @@ class TestEvaluate:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["spearman"] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("side", ["gold scores", "cosines"])
+    def test_wordsim_constant_side_fails(self, tmp_path, capsys, side):
+        """Spearman's rho is undefined when either side is constant: one
+        error line naming it, exit 1, nothing on stdout."""
+        cos = np.array([0.2, 0.9, 0.5]) if side == "gold scores" else np.full(3, 0.5)
+        T = np.vstack([cos, np.sqrt(1 - cos**2)])
+        S = np.tile(np.array([[1.0], [0.0]]), (1, 3))
+        save_embeddings(tmp_path / "s.vec", Lexicon(["a", "b", "c"]), EmbeddingMatrix(2, S))
+        save_embeddings(tmp_path / "t.vec", Lexicon(["X", "Y", "Z"]), EmbeddingMatrix(2, T))
+        save_model(str(tmp_path / "m.npz"), Model(ModelParams(np.eye(2), np.zeros(2)), NORM_UNIT))
+        argv = [
+            "evaluate", "--model", str(tmp_path / "m.npz"),
+            "--src-emb", str(tmp_path / "s.vec"), "--trg-emb", str(tmp_path / "t.vec"),
+            "--wordsim", str(tmp_path / "ws.tsv"), "--json",
+        ]
+        scores = "222" if side == "gold scores" else "123"
+        (tmp_path / "ws.tsv").write_text("".join(
+            f"{s}\t{t}\t{v}\n" for s, t, v in zip("abc", "XYZ", scores)
+        ))
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: the {side} are constant; Spearman's correlation is undefined\n"
+        if side == "gold scores":
+            # distinct scores: the same embeddings give a defined rho
+            (tmp_path / "ws.tsv").write_text("a\tX\t1\nb\tY\t3\nc\tZ\t2\n")
+            assert main(argv) == 0
+            assert strict_json(capsys.readouterr().out) == {"coverage": 1.0, "spearman": 1.0}
 
     def test_empty_eval_dict_fails(self, planted, model, tmp_path, capsys):
         empty = tmp_path / "empty.tsv"
@@ -329,7 +389,7 @@ class TestHubness:
         save_embeddings(tmp_path / "s.vec", Lexicon(["q0", "q1", "q2"]), EmbeddingMatrix(2, S))
         save_embeddings(tmp_path / "t.vec", Lexicon(["hub", "spoke"]),
                         EmbeddingMatrix(2, np.eye(2)))
-        save_model(str(tmp_path / "m.npz"), ModelParams(np.eye(2), np.zeros(2)), NORM_UNIT)
+        save_model(str(tmp_path / "m.npz"), Model(ModelParams(np.eye(2), np.zeros(2)), NORM_UNIT))
         (tmp_path / "queries.tsv").write_text("q0\tx\nq1\tx\nq2\tx\n")
         return tmp_path
 

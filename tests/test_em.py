@@ -25,6 +25,7 @@ from lexmatch.em import (
     PRIOR_TWO_TO_TWO,
     EmCollapseError,
     EmConfig,
+    Model,
     ModelParams,
     centroid,
     duplicate_and_merge,
@@ -36,7 +37,7 @@ from lexmatch.em import (
     run_em,
     save_model,
 )
-from lexmatch.embeddings import NORM_UNIT, EmbeddingMatrix
+from lexmatch.embeddings import NORM_UNIT, NORM_UNIT_CENTER_UNIT, EmbeddingMatrix
 from lexmatch.seeds import PROVENANCE_TSV, SeedDictionary
 
 
@@ -408,8 +409,10 @@ class TestEmConfig:
             EmConfig(prior="many_to_many")
 
     def test_bad_eps(self):
-        with pytest.raises(ValueError):
-            EmConfig(convergence_eps=0.0)
+        """NaN fails every comparison, so `eps <= 0` alone lets it through."""
+        for eps in (0.0, -1e-6, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                EmConfig(convergence_eps=eps)
 
     def test_bad_max_iters(self):
         with pytest.raises(ValueError):
@@ -422,18 +425,53 @@ class TestModelIO:
         rng = np.random.default_rng(42)
         params = ModelParams(random_orthogonal(7, rng), rng.standard_normal(7) * 0.1)
         path = str(tmp_path / "model.npz")
-        save_model(path, params, NORM_UNIT)
-        loaded, scheme = load_model(path)
-        assert scheme == NORM_UNIT
-        np.testing.assert_array_equal(loaded.omega, params.omega)
-        np.testing.assert_array_equal(loaded.mu, params.mu)
+        save_model(path, Model(params, NORM_UNIT))
+        loaded = load_model(path)
+        assert loaded.normalization == NORM_UNIT
+        np.testing.assert_array_equal(loaded.params.omega, params.omega)
+        np.testing.assert_array_equal(loaded.params.mu, params.mu)
+
+    def test_resave_writes_the_same_arrays(self, tmp_path):
+        """save_model(p2, load_model(p1)) writes p1's keys and array bytes."""
+        rng = np.random.default_rng(5)
+        model = Model(
+            ModelParams(random_orthogonal(6, rng), rng.standard_normal(6)),
+            NORM_UNIT_CENTER_UNIT,
+            rng.standard_normal(6),
+            rng.standard_normal(6),
+            "ab" * 32,
+            ("zero", "nul"),
+        )
+        p1, p2 = str(tmp_path / "p1.npz"), str(tmp_path / "p2.npz")
+        save_model(p1, model)
+        save_model(p2, load_model(p1))
+        with np.load(p1) as a, np.load(p2) as b:
+            assert sorted(a.files) == sorted(b.files)
+            for key in a.files:
+                assert a[key].dtype == b[key].dtype and a[key].shape == b[key].shape, key
+                assert a[key].tobytes() == b[key].tobytes(), key
+
+    def test_version_1_file_has_empty_extras(self, tmp_path):
+        rng = np.random.default_rng(6)
+        params = ModelParams(random_orthogonal(4, rng), rng.standard_normal(4))
+        path = str(tmp_path / "v1.npz")
+        with open(path, "wb") as fh:
+            np.savez(fh, format_version=np.int64(1), dim=np.int64(4), omega=params.omega,
+                     mu=params.mu, normalization=NORM_UNIT)
+        loaded = load_model(path)
+        assert loaded.normalization == NORM_UNIT
+        assert loaded.params.omega.tobytes() == params.omega.tobytes()
+        assert loaded.params.mu.tobytes() == params.mu.tobytes()
+        assert loaded.src_center is None and loaded.trg_center is None
+        assert loaded.src_sha256 == ""
+        assert loaded.src_dropped == ()
 
     def test_non_orthogonal_file_rejected(self, tmp_path):
         """A tampered omega fails the orthogonality check on load."""
         rng = np.random.default_rng(1)
         params = ModelParams(random_orthogonal(4, rng), np.zeros(4))
         path = str(tmp_path / "model.npz")
-        save_model(path, params, NORM_UNIT)
+        save_model(path, Model(params, NORM_UNIT))
         blob = dict(np.load(path))
         blob["omega"] = blob["omega"] * 1.5
         np.savez(open(path, "wb"), **blob)
@@ -444,7 +482,7 @@ class TestModelIO:
         rng = np.random.default_rng(2)
         params = ModelParams(random_orthogonal(3, rng), np.zeros(3))
         path = str(tmp_path / "model.npz")
-        save_model(path, params, NORM_UNIT)
+        save_model(path, Model(params, NORM_UNIT))
         blob = dict(np.load(path))
         blob["format_version"] = np.int64(99)
         np.savez(open(path, "wb"), **blob)

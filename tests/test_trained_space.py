@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import lexmatch.cli
 from conftest import random_orthogonal
 from lexmatch.cli import main
-from lexmatch.em import load_model, load_trained_space
+from lexmatch.em import load_model
 from lexmatch.embeddings import (
     NORM_NONE,
     NORM_UNIT,
@@ -131,12 +131,12 @@ class TestTrainedSpace:
             extra += ["--vocab-size", str(cut)]
         model = induce(files, tmp_path, *extra)
 
-        params, scheme = load_model(str(model))
+        space = load_model(str(model))
+        params = space.params
         lex_s, S = load_embeddings(str(files / "src.vec"), max_vocab=cut)
         lex_t, T = load_embeddings(str(files / "trg.vec"), max_vocab=cut)
-        lex_s, S = normalize_pair(lex_s, S, scheme)
-        lex_t, T = normalize_pair(lex_t, T, scheme)
-        space = load_trained_space(str(model))
+        lex_s, S = normalize_pair(lex_s, S, space.normalization)
+        lex_t, T = normalize_pair(lex_t, T, space.normalization)
         assert space.src_center.tobytes() == S.center.tobytes()
         assert space.trg_center.tobytes() == T.center.tobytes()
         assert bool(space.src_sha256) == (cut is None)
@@ -173,7 +173,8 @@ class TestTrainedSpace:
 def head_outputs(model, src, trg, d, words, topn=1, k=1):
     """What evaluate, hubness and query printed before models stored their
     centring: both files parsed in full, each normalized on its own mean."""
-    params, scheme = load_model(str(model))
+    loaded = load_model(str(model))
+    params, scheme = loaded.params, loaded.normalization
     lex_s, S = normalize_pair(*load_embeddings(str(src)), scheme, drop_zero=True)
     lex_t, T = normalize_pair(*load_embeddings(str(trg)), scheme, drop_zero=True)
     gold = load_eval_dictionary(str(d / "gold.tsv"))
@@ -272,7 +273,7 @@ def test_bad_centring_vector_is_rejected(ucu_model, tmp_path, center):
     with open(bad, "wb") as fh:
         np.savez(fh, **fields)
     with pytest.raises(ValueError, match="centring vectors must be finite"):
-        load_trained_space(str(bad))
+        load_model(str(bad))
 
 
 class TestCheckDimensions:
@@ -341,7 +342,7 @@ class TestSubsetBytes:
             "--model-out", str(d / "m.npz"), "--quiet",
         ])
         assert rc == 0, err
-        assert load_trained_space(str(d / "m.npz")).src_dropped == (
+        assert load_model(str(d / "m.npz")).src_dropped == (
             tuple(words[j] for j in zero) if scheme != NORM_NONE else ()
         )
 
@@ -402,7 +403,7 @@ class TestNumpyTraps:
         assert (np.linalg.norm(picked, axis=0) != norms[::2]).any()
 
     def test_subset_matrix_is_c_ordered_with_full_norms(self, wide):
-        space = load_trained_space(str(wide / "m.npz"))
+        space = load_model(str(wide / "m.npz"))
         words = {f"w{j}" for j in range(1, 50, 2)}
         lex, sub = load_embeddings(str(wide / "src.vec"), words=words, sha256=space.src_sha256)
         _, full = load_embeddings(str(wide / "src.vec"))
