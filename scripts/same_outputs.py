@@ -8,9 +8,10 @@ perfbench session through lexmatch.cli.main, with BLAS pinned to one thread
 as perfbench pins it.  The inputs are perfbench's generated ones, made by
 this checkout's perfbench/gen.py when missing, and both runs write to the
 same output paths.  Operation by operation, the script then compares the
-exit code, standard output, dictionary, hubness file, the bytes of Omega and
-mu and the run report without its timings.  It prints every difference and
-exits 1 if there is one, 0 if all outputs are the same.
+exit code, standard output, dictionary, hubness file, every array of the
+model file by key (dtype, shape and bytes; a key that only one side wrote
+is a difference) and the run report without its timings.  It prints every
+difference and exits 1 if there is one, 0 if all outputs are the same.
 """
 
 from __future__ import annotations
@@ -43,9 +44,10 @@ def op_outputs(op, rc: int, stdout: str) -> dict:
                 fields[key] = fh.read()
     if op.model_path and os.path.isfile(op.model_path):
         with np.load(op.model_path, allow_pickle=False) as data:
-            for name in ("omega", "mu"):
+            for name in data.files:
                 a = data[name]
-                fields[name] = [a.dtype.str, list(a.shape), hashlib.sha256(a.tobytes()).hexdigest()]
+                fields[f"model {name}"] = [a.dtype.str, list(a.shape),
+                                           hashlib.sha256(a.tobytes()).hexdigest()]
     if op.report_path and os.path.isfile(op.report_path):
         with open(op.report_path, encoding="utf-8") as fh:
             report = json.load(fh)
@@ -83,7 +85,9 @@ def differences(a: dict, b: dict) -> list[str]:
             problems.append(f"{name}: run by only one checkout")
             continue
         for field in sorted(a[name].keys() | b[name].keys()):
-            if a[name].get(field) != b[name].get(field):
+            if field not in a[name] or field not in b[name]:
+                problems.append(f"{name}: {field} written by only one checkout")
+            elif a[name][field] != b[name][field]:
                 problems.append(f"{name}: {field} differs")
     return problems
 

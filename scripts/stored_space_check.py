@@ -1,16 +1,17 @@
-"""Check at benchmark scale that evaluation prints the same whether it parses
-only the source rows it scores or the whole source file.
+"""Check at benchmark scale that evaluation prints the same whether it takes
+both sides from the model or parses both embedding files in full.
 
-    python3 scripts/subset_parse_check.py --seed 1
+    python3 scripts/stored_space_check.py --seed 1
 
 The script generates perfbench's cli-session inputs (5000 x 300 per side)
 with perfbench/gen.py, trains once the way that session does, and runs
-evaluate, hubness and query twice: against src.vec, the file training read,
-which the model's digest lets them read in part, and against a copy whose
-first value is rewritten to an equal float (0.110607 -> 0.1106070), whose
-other digest makes them parse every row.  It exits 1 unless the exit codes,
-standard output and hubness files are identical, the first runs parsed only
-some source rows and the second ones all of them.
+evaluate, hubness and query twice: against src.vec and trg.vec, the files
+training read, whose digests let them take both sides from the model, and
+against copies whose first value is rewritten to an equal float
+(0.110607 -> 0.1106070), whose other digests make them parse every row.  It
+exits 1 unless the exit codes, standard output and hubness files are
+identical, the first runs parsed no text row and the second ones parsed
+every row of each side.
 """
 
 from __future__ import annotations
@@ -61,20 +62,19 @@ def run(argv: list[str], stdin_path: str | None = None) -> tuple[int, str]:
     return rc, out.getvalue()
 
 
-def session(d: str, out: str, src: str) -> tuple[dict, list[int]]:
-    """Exit code, stdout and output file of each command; rows of each source load."""
-    emb = ["--model", os.path.join(out, "model.npz"), "--src-emb", src,
-           "--trg-emb", os.path.join(d, "trg.vec")]
+def session(d: str, out: str, src: str, trg: str) -> tuple[dict, dict]:
+    """Exit code, stdout and output file of each command; rows of each text
+    load, per side."""
+    emb = ["--model", os.path.join(out, "model.npz"), "--src-emb", src, "--trg-emb", trg]
     gold = os.path.join(d, "gold.tsv")
     hub = os.path.join(out, "hubness.tsv")
     results = {}
-    rows = []
+    rows: dict = {src: [], trg: []}
     real = lexmatch.cli.load_embeddings
 
     def spy(path, *args, **kwargs):
         lex, mat = real(path, *args, **kwargs)
-        if path == src:
-            rows.append(len(lex))
+        rows[path].append(len(lex))
         return lex, mat
 
     with mock.patch.object(lexmatch.cli, "load_embeddings", spy):
@@ -85,7 +85,7 @@ def session(d: str, out: str, src: str) -> tuple[dict, list[int]]:
         os.remove(hub)
         results["query"] = run(["query", *emb, "--stdin", "--topn", "10"],
                                os.path.join(d, "queries.txt"))
-    return results, rows
+    return results, {"src": rows[src], "trg": rows[trg]}
 
 
 def main(argv=None) -> int:
@@ -99,30 +99,33 @@ def main(argv=None) -> int:
             check=True,
         )
         d = os.path.join(out, f"medium-{args.seed}")
-        src = os.path.join(d, "src.vec")
-        equal = os.path.join(d, "src-equal.vec")
-        equal_float_copy(src, equal)
+        files = {side: os.path.join(d, f"{side}.vec") for side in ("src", "trg")}
+        equal = {side: os.path.join(d, f"{side}-equal.vec") for side in ("src", "trg")}
+        for side in files:
+            equal_float_copy(files[side], equal[side])
         rc, _ = run([
-            "induce", "--src-emb", src, "--trg-emb", os.path.join(d, "trg.vec"),
+            "induce", "--src-emb", files["src"], "--trg-emb", files["trg"],
             "--seed", "numerals", "--k", "3", "--rank-restrict", "2500",
             "--normalize", "unit_center_unit", "--threads", "1", "--quiet",
             "--out-dict", os.path.join(out, "dict.tsv"),
             "--model-out", os.path.join(out, "model.npz"),
         ])
         if rc != 0:
-            print("subset_parse_check: induce failed")
+            print("stored_space_check: induce failed")
             return 1
-        subset, subset_rows = session(d, out, src)
-        full, full_rows = session(d, out, equal)
+        stored, stored_rows = session(d, out, files["src"], files["trg"])
+        full, full_rows = session(d, out, equal["src"], equal["trg"])
 
-    problems = [f"{name} differs" for name in subset if subset[name] != full[name]]
-    problems += [f"{name} exited {subset[name][0]}" for name in ("evaluate", "hubness", "query")
-                 if subset[name][0] != 0]
-    if len(subset_rows) != 3 or max(subset_rows) >= 5000:
-        problems.append(f"src.vec loads returned {subset_rows} rows, expected fewer than 5000")
-    if full_rows != [5000] * 3:
-        problems.append(f"src-equal.vec loads returned {full_rows} rows, expected 5000 each")
-    print(f"subset_parse_check: seed {args.seed}, source rows parsed {subset_rows} "
+    problems = [f"{name} differs" for name in stored if stored[name] != full[name]]
+    problems += [f"{name} exited {stored[name][0]}" for name in ("evaluate", "hubness", "query")
+                 if stored[name][0] != 0]
+    parsed = sum(map(sum, stored_rows.values()))
+    if parsed != 0:
+        problems.append(f"the training files' loads parsed {stored_rows} rows, expected none")
+    for side, rows in full_rows.items():
+        if rows != [5000] * 3:
+            problems.append(f"{side}-equal.vec loads returned {rows} rows, expected 5000 each")
+    print(f"stored_space_check: seed {args.seed}, text rows parsed {stored_rows} "
           f"against {full_rows}: " + ("; ".join(problems) or "same"))
     return 1 if problems else 0
 

@@ -20,6 +20,7 @@ from lexmatch.em import (
     EmTrace,
     Model,
     ModelParams,
+    TrainedSide,
     centroid,
     duplicate_and_merge,
     e_step_matching,

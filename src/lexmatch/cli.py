@@ -19,6 +19,7 @@ from lexmatch.em import (
     PRIOR_ONE_TO_TWO,
     PRIOR_TWO_TO_TWO,
     Model,
+    TrainedSide,
     load_model,
     run_em,
     save_model,
@@ -26,6 +27,7 @@ from lexmatch.em import (
 from lexmatch.embeddings import (
     NORMALIZATION_SCHEMES,
     NORM_UNIT,
+    file_sha256,
     load_embeddings,
     normalize_pair,
 )
@@ -139,12 +141,13 @@ def _build_seed(spec: str, lex_src, lex_trg):
 
 def cmd_induce(args) -> int:
     t_start = time.perf_counter()
-    # a model records the source's digest only if every row was parsed, so
-    # that evaluation may parse the rows it scores and trust the rest
-    src_hash = hashlib.sha256() if args.model_out and args.vocab_size is None else None
-    lex_loaded, S = load_embeddings(args.src_emb, max_vocab=args.vocab_size, hasher=src_hash)
-    lex_trg, T = load_embeddings(args.trg_emb, max_vocab=args.vocab_size)
-    lex_src, S = normalize_pair(lex_loaded, S, args.normalize, drop_zero=args.drop_zero)
+    # a model stores the sides only if every row of both files was parsed, so
+    # that evaluation on those files may take the sides instead of parsing them
+    store = args.model_out and args.vocab_size is None
+    src_hash, trg_hash = (hashlib.sha256(), hashlib.sha256()) if store else (None, None)
+    lex_src, S = load_embeddings(args.src_emb, max_vocab=args.vocab_size, hasher=src_hash)
+    lex_trg, T = load_embeddings(args.trg_emb, max_vocab=args.vocab_size, hasher=trg_hash)
+    lex_src, S = normalize_pair(lex_src, S, args.normalize, drop_zero=args.drop_zero)
     lex_trg, T = normalize_pair(lex_trg, T, args.normalize, drop_zero=args.drop_zero)
     seed = _build_seed(args.seed, lex_src, lex_trg)
     t_loaded = time.perf_counter()
@@ -173,9 +176,10 @@ def cmd_induce(args) -> int:
             fh.write(f"{lex_src.word(j)}\t{lex_trg.word(i)}\t{w:.6f}\n")
 
     if args.model_out:
-        dropped = tuple(w for w in lex_loaded.words if w not in lex_src)
-        digest = src_hash.hexdigest() if src_hash else ""
-        model = Model(params, args.normalize, S.center, T.center, digest, dropped)
+        model = Model(params, args.normalize, S.center, T.center)
+        if store:
+            model.src = TrainedSide(src_hash.hexdigest(), lex_src, S)
+            model.trg = TrainedSide(trg_hash.hexdigest(), lex_trg, T)
         save_model(args.model_out, model)
 
     t_end = time.perf_counter()
@@ -217,21 +221,24 @@ def cmd_induce(args) -> int:
     return 0
 
 
-def _load_model_and_embeddings(args, src_words):
-    """The model's params and both vocabularies, normalized as training normalized them.
+def _load_model_and_embeddings(args):
+    """The model's params and both sides, normalized as training normalized them.
 
-    Only the source rows of src_words (and of the words training dropped)
-    are parsed when the source is the file the model was trained on; see
-    load_embeddings.
+    A side whose file is a regular file with the sha256 that the model
+    stored for it is the stored lexicon and matrix, and no text is parsed.
+    Any other file is parsed in full and normalized with the model's scheme
+    and centring vector.
     """
     model = load_model(args.model)
-    subset = {"words": set(src_words).union(model.src_dropped), "sha256": model.src_sha256}
     sides = []
-    for path, kwargs, center in (
-        (args.src_emb, subset, model.src_center),
-        (args.trg_emb, {}, model.trg_center),
+    for path, stored, center in (
+        (args.src_emb, model.src, model.src_center),
+        (args.trg_emb, model.trg, model.trg_center),
     ):
-        lex, matrix = load_embeddings(path, **kwargs)
+        if stored is not None and file_sha256(path) == stored.sha256:
+            sides += (stored.lexicon, stored.matrix)
+            continue
+        lex, matrix = load_embeddings(path)
         if matrix.dim != model.params.dim:
             raise ValueError(
                 f"{path}: embedding dimension {matrix.dim} does not match "
@@ -244,14 +251,12 @@ def _load_model_and_embeddings(args, src_words):
 def cmd_evaluate(args) -> int:
     if args.eval_dict:
         gold = load_eval_dictionary(args.eval_dict)
-        params, lex_src, S, lex_trg, T = _load_model_and_embeddings(args, gold)
+        params, lex_src, S, lex_trg, T = _load_model_and_embeddings(args)
         score, coverage = precision_at_1(params, S, T, gold, lex_src, lex_trg)
         payload = {"p_at_1": score, "coverage": coverage}
     else:
         triples = load_wordsim_tsv(args.wordsim)
-        params, lex_src, S, lex_trg, T = _load_model_and_embeddings(
-            args, (s for s, _, _ in triples)
-        )
+        params, lex_src, S, lex_trg, T = _load_model_and_embeddings(args)
         rho, coverage = word_similarity(params, S, T, triples, lex_src, lex_trg)
         payload = {"spearman": rho, "coverage": coverage}
     if args.json:
@@ -264,7 +269,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_hubness(args) -> int:
     gold = load_eval_dictionary(args.queries)
-    params, lex_src, S, lex_trg, T = _load_model_and_embeddings(args, gold)
+    params, lex_src, S, lex_trg, T = _load_model_and_embeddings(args)
     queries = sorted(lex_src.id(w) for w in gold if w in lex_src)
     if not queries:
         raise ValueError("no in-vocabulary query words in the dictionary file")
@@ -286,7 +291,7 @@ def cmd_query(args) -> int:
         words.extend(line.strip() for line in sys.stdin if line.strip())
     if not words:
         raise ValueError("no query words given (use --word or --stdin)")
-    params, lex_src, S, lex_trg, T = _load_model_and_embeddings(args, words)
+    params, lex_src, S, lex_trg, T = _load_model_and_embeddings(args)
     known = [lex_src.id(w) for w in words if w in lex_src]
     neighbors = iter(topn_neighbors(params, S, T, known, args.topn))
     for w in words:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -33,7 +34,7 @@ from lexmatch.candidates import (
     score_top_k,
     weight_terms,
 )
-from lexmatch.embeddings import NORMALIZATION_SCHEMES, EmbeddingMatrix
+from lexmatch.embeddings import NORMALIZATION_SCHEMES, EmbeddingMatrix, Lexicon
 from lexmatch.seeds import SeedDictionary
 
 logger = logging.getLogger(__name__)
@@ -376,65 +377,85 @@ def run_em(
 
 
 @dataclass
+class TrainedSide:
+    """One side as training saw it: the hex sha256 of its embedding file,
+    and the lexicon and normalized matrix that run_em was given."""
+
+    sha256: str
+    lexicon: Lexicon
+    matrix: EmbeddingMatrix
+
+
+@dataclass
 class Model:
     """Trained parameters and what evaluation needs to rebuild their space.
 
     normalization is the scheme training applied to both sides.  src_center
     and trg_center are the unit_center_unit centring vectors as training
-    computed them (None under the other schemes).  src_sha256 is the hex
-    sha256 of the source file, "" unless induce parsed and checked every row
-    of it; src_dropped lists the source words that training dropped as zero
-    vectors.
+    computed them (None under the other schemes).  src and trg are the sides
+    themselves, None unless induce parsed every row of both files.
     """
 
     params: ModelParams
     normalization: str
     src_center: np.ndarray | None = None
     trg_center: np.ndarray | None = None
-    src_sha256: str = ""
-    src_dropped: tuple[str, ...] = ()
+    src: TrainedSide | None = None
+    trg: TrainedSide | None = None
 
 
 def save_model(path: str, model: Model) -> None:
     """Write model to a self-describing .npz container (bit-exact round-trip).
 
-    Format version 2; version 1 had no centring vectors, digest or dropped
-    words.
+    Format version 3.  A stored side is three keys: {side}_sha256,
+    {side}_words, its words in UTF-8 joined by "\\n" as one uint8 array, and
+    {side}_vectors, the (dim, n) float64 matrix.  Version 2 stored no sides
+    but a source digest and the source words dropped as zero vectors;
+    version 1 had no centring vectors either.
     """
     if model.normalization not in NORMALIZATION_SCHEMES:
         raise ValueError(f"unknown normalization {model.normalization!r}")
     model.params.validate()
     empty = np.zeros(0)
+    arrays = {
+        "format_version": np.int64(3),
+        "dim": np.int64(model.params.dim),
+        "omega": model.params.omega,
+        "mu": model.params.mu,
+        "normalization": model.normalization,
+        "src_center": empty if model.src_center is None else model.src_center,
+        "trg_center": empty if model.trg_center is None else model.trg_center,
+    }
+    for name, side in zip(("src", "trg"), (model.src, model.trg)):
+        if side is None:
+            continue
+        text = "\n".join(side.lexicon.words)
+        if text.count("\n") != max(len(side.lexicon) - 1, 0):
+            raise ValueError(f"a {name} word holds a newline")
+        arrays[f"{name}_sha256"] = side.sha256
+        arrays[f"{name}_words"] = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+        arrays[f"{name}_vectors"] = side.matrix.data
     with open(path, "wb") as fh:
-        np.savez(
-            fh,
-            format_version=np.int64(2),
-            dim=np.int64(model.params.dim),
-            omega=model.params.omega,
-            mu=model.params.mu,
-            normalization=model.normalization,
-            src_center=empty if model.src_center is None else model.src_center,
-            trg_center=empty if model.trg_center is None else model.trg_center,
-            src_sha256=model.src_sha256,
-            src_dropped=np.array(model.src_dropped, dtype=str),
-        )
+        np.savez(fh, **arrays)
 
 
 def load_model(path: str) -> Model:
-    """Read and check a model container; version 1 gives an empty digest,
-    no centring vectors and no dropped words."""
+    """Read and check a model container; versions 1 and 2 give no stored
+    sides, and version 1 no centring vectors."""
     with np.load(path, allow_pickle=False) as data:
         version = int(data["format_version"])
-        if version not in (1, 2):
+        if version not in (1, 2, 3):
             raise ValueError(f"unsupported model format version {version}")
         d = int(data["dim"])
         omega = data["omega"]
         mu = data["mu"]
         normalization = str(data["normalization"][()])
-        v2 = version == 2
-        centers = [data[k] if v2 else np.zeros(0) for k in ("src_center", "trg_center")]
-        src_sha256 = str(data["src_sha256"][()]) if v2 else ""
-        src_dropped = tuple(data["src_dropped"].tolist()) if v2 else ()
+        centers = [data[k] if version > 1 else np.zeros(0) for k in ("src_center", "trg_center")]
+        sides = [
+            _load_side(data, name, label, d)
+            if version == 3 and f"{name}_sha256" in data.files else None
+            for name, label in (("src", "source"), ("trg", "target"))
+        ]
     if omega.shape != (d, d) or mu.shape != (d,):
         raise ValueError(
             f"model arrays inconsistent with dim {d}: {omega.shape}, {mu.shape}"
@@ -448,6 +469,29 @@ def load_model(path: str) -> Model:
             raise ValueError(
                 f"model centring vectors must be finite with shape ({d},), got shape {c.shape}"
             )
-    return Model(
-        params, normalization, *(c if c.size else None for c in centers), src_sha256, src_dropped
-    )
+    return Model(params, normalization, *(c if c.size else None for c in centers), *sides)
+
+
+def _load_side(data, name: str, label: str, d: int) -> TrainedSide:
+    """The stored side name of an open version-3 container, checked."""
+    sha256 = str(data[f"{name}_sha256"][()])
+    words = data[f"{name}_words"]
+    vectors = data[f"{name}_vectors"]
+    try:
+        if not re.fullmatch("[0-9a-f]{64}", sha256):
+            raise ValueError(f"sha256 must be 64 hex digits, got {sha256!r}")
+        if words.dtype != np.uint8 or words.ndim != 1:
+            raise ValueError(f"words must be a uint8 array, got {words.dtype} {words.shape}")
+        if vectors.dtype != np.float64 or vectors.ndim != 2 or vectors.shape[0] != d:
+            raise ValueError(
+                f"vectors must be float64 with shape ({d}, n), got {vectors.dtype} {vectors.shape}"
+            )
+        text = words.tobytes().decode("utf-8")
+        n = vectors.shape[1]
+        # "" is one empty word when there is a column for it
+        names = text.split("\n") if text or n else []
+        if len(names) != n:
+            raise ValueError(f"{len(names)} words for {n} columns")
+        return TrainedSide(sha256, Lexicon(names), EmbeddingMatrix(d, vectors))
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise ValueError(f"model's stored {label} side: {exc}") from None

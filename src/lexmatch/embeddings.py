@@ -9,12 +9,10 @@ word2vec text format: a "n d" header line followed by n lines of
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import io
 import os
 import warnings
-from collections.abc import Collection
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -95,12 +93,7 @@ _LOADTXT_ONLY_SPACE = ("\x1c", "\x1d", "\x1e", "\x1f")
 
 
 def load_embeddings(
-    path: str,
-    max_vocab: int | None = None,
-    *,
-    hasher=None,
-    words: Collection[str] | None = None,
-    sha256: str | None = None,
+    path: str, max_vocab: int | None = None, *, hasher=None
 ) -> tuple[Lexicon, EmbeddingMatrix]:
     """Read word2vec text format into float64.
 
@@ -120,45 +113,13 @@ def load_embeddings(
 
     hasher, a hashlib object, is fed every byte that the read consumes:
     the whole file when max_vocab is None.
-
-    words and sha256 together ask for the rows of those words only, from a
-    file that was parsed in full before.  If path is a regular file, the
-    same forward pass reads it, through a sha256 hash, but parses only the
-    rows of words, plus the first row of any other word, into a C-contiguous
-    (dim, m) matrix in file order; the end-of-file check is left out.  That
-    matrix is returned if the hex digest of the bytes the pass read is
-    sha256.  The extra row keeps m >= 2: numpy reduces a (dim, 1) column
-    pairwise, so its norm could differ in the last bit from the same
-    column's norm in a wider matrix.  In every other case (another digest,
-    no digest, max_vocab, a pipe) every row is parsed and checked as above,
-    so a row that no caller asked for still fails with its line number
-    unless the file is the one that passed before.
     """
-    if words is not None and sha256 and max_vocab is None and os.path.isfile(path):
-        digest = hashlib.sha256()
-        # an error here means another file than the one that passed before,
-        # which the full parse below reports with its true line number
-        with contextlib.suppress(ValueError):
-            subset = _read_rows(path, digest, None, words)
-            if digest.hexdigest() == sha256:
-                return subset
-    return _read_rows(path, hasher, max_vocab)
-
-
-def _read_rows(
-    path: str, hasher, max_vocab: int | None, words: Collection[str] | None = None
-) -> tuple[Lexicon, EmbeddingMatrix]:
-    """The one pass of load_embeddings: every row, the first max_vocab, or
-    (words given) the rows of words and the first row of any other word."""
     names: list[str] = []
     seen: dict[str, int] = {}
     with _open_text(path, hasher) as fh:
         n_declared, dim = _read_header(fh)
         n_rows = n_declared if max_vocab is None else min(n_declared, max_vocab)
         lines = islice(fh, n_rows)
-        if words is not None:
-            lines = _scored_lines(lines, words)
-            n_rows = min(n_rows, len(words) + 1)
         # filled in the matrix's own (dim, n) layout through transposed views
         data = np.empty((dim, n_rows))
         block_rows = max(1, BLOCK_VALUES // dim)
@@ -166,7 +127,7 @@ def _read_rows(
         while block := list(islice(lines, block_rows)):
             _fill_rows(block, m + 2, data[:, m : m + len(block)].T, names, seen)
             m += len(block)
-        if words is None and m < n_rows:
+        if m < n_rows:
             raise ValueError(
                 f"line {m + 2}: unexpected end of file, header declared {n_declared} rows"
             )
@@ -177,18 +138,19 @@ def _read_rows(
                     raise ValueError(
                         f"line {lineno}: row beyond the {n_declared} the header declares"
                     )
-    return Lexicon(names), EmbeddingMatrix(dim, data[:, :m])
+    return Lexicon(names), EmbeddingMatrix(dim, data)
 
 
-def _scored_lines(lines, words: Collection[str]):
-    """The lines of words, and the first line of any other word."""
-    other = True
-    for line in lines:
-        if line.partition(" ")[0] in words:
-            yield line
-        elif other:
-            other = False
-            yield line
+def file_sha256(path: str) -> str | None:
+    """Hex sha256 of a regular file's bytes; None for anything else, such as
+    a pipe, which could be read only once."""
+    if not os.path.isfile(path):
+        return None
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 class _HashedReader(io.RawIOBase):

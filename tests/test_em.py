@@ -1,3 +1,4 @@
+import zipfile
 from collections import Counter
 from unittest import mock
 
@@ -27,6 +28,7 @@ from lexmatch.em import (
     EmConfig,
     Model,
     ModelParams,
+    TrainedSide,
     centroid,
     duplicate_and_merge,
     e_step_matching,
@@ -37,7 +39,7 @@ from lexmatch.em import (
     run_em,
     save_model,
 )
-from lexmatch.embeddings import NORM_UNIT, NORM_UNIT_CENTER_UNIT, EmbeddingMatrix
+from lexmatch.embeddings import NORM_UNIT, NORM_UNIT_CENTER_UNIT, EmbeddingMatrix, Lexicon
 from lexmatch.seeds import PROVENANCE_TSV, SeedDictionary
 
 
@@ -431,25 +433,66 @@ class TestModelIO:
         np.testing.assert_array_equal(loaded.params.omega, params.omega)
         np.testing.assert_array_equal(loaded.params.mu, params.mu)
 
-    def test_resave_writes_the_same_arrays(self, tmp_path):
-        """save_model(p2, load_model(p1)) writes p1's keys and array bytes."""
-        rng = np.random.default_rng(5)
-        model = Model(
-            ModelParams(random_orthogonal(6, rng), rng.standard_normal(6)),
+    @staticmethod
+    def stored_model(rng, dim=6):
+        """A unit_center_unit model with both sides stored; the source words
+        include the empty word and others that only "\\n" may not split."""
+        src_words = ["", "ünï", "a\tb", "x\u2028y", "\x1c", "w"]
+        trg_words = [f"t{j}" for j in range(4)]
+        return Model(
+            ModelParams(random_orthogonal(dim, rng), rng.standard_normal(dim)),
             NORM_UNIT_CENTER_UNIT,
-            rng.standard_normal(6),
-            rng.standard_normal(6),
-            "ab" * 32,
-            ("zero", "nul"),
+            rng.standard_normal(dim),
+            rng.standard_normal(dim),
+            TrainedSide("ab" * 32, Lexicon(src_words),
+                        EmbeddingMatrix(dim, rng.standard_normal((dim, len(src_words))))),
+            TrainedSide("0f" * 32, Lexicon(trg_words),
+                        EmbeddingMatrix(dim, rng.standard_normal((dim, len(trg_words))))),
         )
+
+    def test_stored_sides_round_trip(self, tmp_path):
+        """save, load and save again: the same words, the same float64 bytes,
+        and the same bytes in every member of the container."""
+        model = self.stored_model(np.random.default_rng(8))
         p1, p2 = str(tmp_path / "p1.npz"), str(tmp_path / "p2.npz")
         save_model(p1, model)
-        save_model(p2, load_model(p1))
-        with np.load(p1) as a, np.load(p2) as b:
-            assert sorted(a.files) == sorted(b.files)
-            for key in a.files:
-                assert a[key].dtype == b[key].dtype and a[key].shape == b[key].shape, key
-                assert a[key].tobytes() == b[key].tobytes(), key
+        loaded = load_model(p1)
+        save_model(p2, loaded)
+        for want, got in ((model.src, loaded.src), (model.trg, loaded.trg)):
+            assert got.sha256 == want.sha256
+            assert got.lexicon.words == want.lexicon.words
+            assert got.matrix.data.dtype == np.float64
+            assert got.matrix.data.tobytes() == want.matrix.data.tobytes()
+        with zipfile.ZipFile(p1) as a, zipfile.ZipFile(p2) as b:
+            assert a.namelist() == b.namelist()
+            for name in a.namelist():
+                assert a.read(name) == b.read(name), name
+
+    def test_resave_writes_the_same_arrays(self, tmp_path):
+        """save_model(p2, load_model(p1)) writes p1's keys and array bytes,
+        with and without stored sides."""
+        rng = np.random.default_rng(5)
+        model = self.stored_model(rng)
+        bare = Model(model.params, NORM_UNIT)
+        for i, m in enumerate((model, bare)):
+            p1, p2 = str(tmp_path / f"p1-{i}.npz"), str(tmp_path / f"p2-{i}.npz")
+            save_model(p1, m)
+            save_model(p2, load_model(p1))
+            with np.load(p1) as a, np.load(p2) as b:
+                assert sorted(a.files) == sorted(b.files)
+                for key in a.files:
+                    assert a[key].dtype == b[key].dtype and a[key].shape == b[key].shape, key
+                    assert a[key].tobytes() == b[key].tobytes(), key
+        with np.load(str(tmp_path / "p1-0.npz")) as a, np.load(str(tmp_path / "p1-1.npz")) as b:
+            sides = {f"{p}_{k}" for p in ("src", "trg") for k in ("sha256", "words", "vectors")}
+            assert set(a.files) - set(b.files) == sides
+            assert bytes(a["src_words"]) == "\n".join(model.src.lexicon.words).encode()
+
+    def test_newline_in_a_stored_word_is_refused(self, tmp_path):
+        model = self.stored_model(np.random.default_rng(9))
+        model.trg.lexicon = Lexicon(["t0", "t\n1", "t2", "t3"])
+        with pytest.raises(ValueError, match="trg word holds a newline"):
+            save_model(str(tmp_path / "m.npz"), model)
 
     def test_version_1_file_has_empty_extras(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -463,8 +506,7 @@ class TestModelIO:
         assert loaded.params.omega.tobytes() == params.omega.tobytes()
         assert loaded.params.mu.tobytes() == params.mu.tobytes()
         assert loaded.src_center is None and loaded.trg_center is None
-        assert loaded.src_sha256 == ""
-        assert loaded.src_dropped == ()
+        assert loaded.src is None and loaded.trg is None
 
     def test_non_orthogonal_file_rejected(self, tmp_path):
         """A tampered omega fails the orthogonality check on load."""

@@ -1,8 +1,9 @@
 """evaluate, hubness and query score the space that induce trained in, and
-parse only the source rows they score when the source is the file that
-induce parsed in full."""
+take each side from the model, parsing no text, when its file is the one
+that induce parsed in full."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -48,19 +49,28 @@ def run(argv):
 
 
 @contextlib.contextmanager
-def source_loads():
-    """Rows returned by each load of a source: a file named src* or a /dev/fd pipe."""
-    rows = []
+def text_loads():
+    """Rows parsed by each text load, per side: "src" for a file named src*
+    or a /dev/fd pipe, "trg" for any other file."""
+    rows = {"src": [], "trg": []}
     real = lexmatch.cli.load_embeddings
 
     def spy(path, *args, **kwargs):
         lex, mat = real(path, *args, **kwargs)
-        if os.path.basename(path).startswith("src") or path.startswith("/dev/fd/"):
-            rows.append(len(lex))
+        src = os.path.basename(path).startswith("src") or path.startswith("/dev/fd/")
+        rows["src" if src else "trg"].append(len(lex))
         return lex, mat
 
     with mock.patch.object(lexmatch.cli, "load_embeddings", spy):
         yield rows
+
+
+@contextlib.contextmanager
+def no_text_parsed():
+    """Any text load fails its command."""
+    refuse = mock.Mock(side_effect=AssertionError("parsed an embedding file"))
+    with mock.patch.object(lexmatch.cli, "load_embeddings", refuse):
+        yield
 
 
 def emb_args(model, src, trg):
@@ -114,7 +124,7 @@ def induce(d, out, *extra):
 
 @pytest.fixture(scope="module")
 def ucu_model(files, tmp_path_factory):
-    """unit_center_unit, every row parsed: the model carries the digest."""
+    """unit_center_unit, every row parsed: the model stores both sides."""
     return induce(files, tmp_path_factory.mktemp("full"), "--normalize", NORM_UNIT_CENTER_UNIT)
 
 
@@ -139,14 +149,21 @@ class TestTrainedSpace:
         lex_t, T = normalize_pair(lex_t, T, space.normalization)
         assert space.src_center.tobytes() == S.center.tobytes()
         assert space.trg_center.tobytes() == T.center.tobytes()
-        assert bool(space.src_sha256) == (cut is None)
+        if cut is None:
+            for side, lex, M, name in ((space.src, lex_s, S, "src"), (space.trg, lex_t, T, "trg")):
+                data = (files / f"{name}.vec").read_bytes()
+                assert side.sha256 == hashlib.sha256(data).hexdigest()
+                assert side.lexicon.words == lex.words
+                assert side.matrix.data.tobytes() == M.data.tobytes()
+        else:
+            assert space.src is None and space.trg is None
 
         cmds = commands(model, files / "src.vec", files / "trg.vec", files, QUERY_WORDS)
-        with source_loads() as rows:
+        with text_loads() as rows:
             results = {name: run(argv) for name, argv in cmds.items()}
         assert all(rc == 0 for rc, _, _ in results.values()), results
-        # the subset read takes the scored words plus one more row
-        assert rows == ([N_FILE] * 3 if cut else [31, 31, 4])
+        parsed = [N_FILE] * 3 if cut else []
+        assert rows == {"src": parsed, "trg": parsed}
 
         gold = load_eval_dictionary(str(files / "gold.tsv"))
         p1, coverage = precision_at_1(params, S, T, gold, lex_s, lex_t)
@@ -170,13 +187,16 @@ class TestTrainedSpace:
         assert results["query"][1].splitlines() == expected
 
 
-def head_outputs(model, src, trg, d, words, topn=1, k=1):
-    """What evaluate, hubness and query printed before models stored their
-    centring: both files parsed in full, each normalized on its own mean."""
+def full_parse_outputs(model, src, trg, d, words, topn=1, k=1):
+    """What evaluate, hubness and query print when they parse both files in
+    full: each normalized on the model's centring vector, or on its own
+    mean where the model stores none (version 1)."""
     loaded = load_model(str(model))
     params, scheme = loaded.params, loaded.normalization
-    lex_s, S = normalize_pair(*load_embeddings(str(src)), scheme, drop_zero=True)
-    lex_t, T = normalize_pair(*load_embeddings(str(trg)), scheme, drop_zero=True)
+    lex_s, S = normalize_pair(*load_embeddings(str(src)), scheme, drop_zero=True,
+                              center=loaded.src_center)
+    lex_t, T = normalize_pair(*load_embeddings(str(trg)), scheme, drop_zero=True,
+                              center=loaded.trg_center)
     gold = load_eval_dictionary(str(d / "gold.tsv"))
     p1, coverage = precision_at_1(params, S, T, gold, lex_s, lex_t)
     report = hubness(params, S, T, sorted(lex_s.id(w) for w in gold if w in lex_s), k)
@@ -196,22 +216,27 @@ def head_outputs(model, src, trg, d, words, topn=1, k=1):
 
 
 class TestFullParseGate:
-    """Every source that is not the file induce parsed in full is parsed and
+    """Every file that is not the one induce parsed in full is parsed and
     checked in full."""
 
     @pytest.mark.parametrize("bad", ["0.5x", "inf"])
     def test_malformed_unscored_row_fails_every_command(self, files, ucu_model, tmp_path, bad):
-        lines = (files / "src.vec").read_text().splitlines(keepends=True)
-        row = 50  # s49: in no gold entry and no query
-        fields = lines[row].split(" ")
-        fields[3] = bad
-        lines[row] = " ".join(fields)
-        (tmp_path / "src.vec").write_text("".join(lines))
-        for name, argv in commands(ucu_model, tmp_path / "src.vec", files / "trg.vec",
-                                   files, QUERY_WORDS).items():
-            rc, _, err = run(argv)
-            assert rc == 1, name
-            assert f"error: line {row + 1}: " in err, (name, err)
+        """A row rewritten after training, on either side (s49 is in no gold
+        entry and no query), fails with its line number."""
+        row = 50
+        for side in ("src", "trg"):
+            lines = (files / f"{side}.vec").read_text().splitlines(keepends=True)
+            fields = lines[row].split(" ")
+            fields[3] = bad
+            lines[row] = " ".join(fields)
+            (tmp_path / f"{side}.vec").write_text("".join(lines))
+            paths = {"src": files / "src.vec", "trg": files / "trg.vec",
+                     side: tmp_path / f"{side}.vec"}
+            for name, argv in commands(ucu_model, paths["src"], paths["trg"],
+                                       files, QUERY_WORDS).items():
+                rc, _, err = run(argv)
+                assert rc == 1, (side, name)
+                assert f"error: line {row + 1}: " in err, (side, name, err)
 
     def test_version_1_model_reproduces_old_outputs(self, files, ucu_model, tmp_path):
         with np.load(ucu_model) as data:
@@ -220,21 +245,43 @@ class TestFullParseGate:
         with open(v1, "wb") as fh:
             np.savez(fh, format_version=np.int64(1), **fields)
         cmds = commands(v1, files / "src.vec", files / "trg.vec", files, QUERY_WORDS, 3, 4)
-        with source_loads() as rows:
+        with text_loads() as rows:
             outputs = {name: run(argv)[1] for name, argv in cmds.items()}
-        assert rows == [N_FILE] * 3
-        assert outputs == head_outputs(
+        assert rows == {"src": [N_FILE] * 3, "trg": [N_FILE] * 3}
+        assert outputs == full_parse_outputs(
             v1, files / "src.vec", files / "trg.vec", files, QUERY_WORDS, 3, 4
+        )
+
+    def test_version_2_model_reproduces_old_outputs(self, files, ucu_model, tmp_path):
+        """A version-2 file, with the source digest and dropped words it
+        carried, is parsed in full on both sides and centred on its vectors."""
+        with np.load(ucu_model) as data:
+            fields = {k: data[k] for k in ("dim", "omega", "mu", "normalization",
+                                           "src_center", "trg_center", "src_sha256")}
+        v2 = tmp_path / "v2.npz"
+        with open(v2, "wb") as fh:
+            np.savez(fh, format_version=np.int64(2), src_dropped=np.array([], dtype=str),
+                     **fields)
+        cmds = commands(v2, files / "src.vec", files / "trg.vec", files, QUERY_WORDS, 3, 4)
+        with text_loads() as rows:
+            outputs = {name: run(argv)[1] for name, argv in cmds.items()}
+        assert rows == {"src": [N_FILE] * 3, "trg": [N_FILE] * 3}
+        with no_text_parsed():
+            stored = {name: run(argv)[1] for name, argv in commands(
+                ucu_model, files / "src.vec", files / "trg.vec", files, QUERY_WORDS, 3, 4
+            ).items()}
+        assert outputs == stored == full_parse_outputs(
+            v2, files / "src.vec", files / "trg.vec", files, QUERY_WORDS, 3, 4
         )
 
     def test_vocab_size_model_reproduces_old_outputs(self, files, tmp_path):
         model = induce(files, tmp_path, "--normalize", NORM_UNIT,
                        "--vocab-size", str(N_TRAIN))
         cmds = commands(model, files / "src.vec", files / "trg.vec", files, QUERY_WORDS, 3, 4)
-        with source_loads() as rows:
+        with text_loads() as rows:
             outputs = {name: run(argv)[1] for name, argv in cmds.items()}
-        assert rows == [N_FILE] * 3
-        assert outputs == head_outputs(
+        assert rows == {"src": [N_FILE] * 3, "trg": [N_FILE] * 3}
+        assert outputs == full_parse_outputs(
             model, files / "src.vec", files / "trg.vec", files, QUERY_WORDS, 3, 4
         )
 
@@ -252,28 +299,73 @@ class TestFullParseGate:
         try:
             argv = commands(ucu_model, f"/dev/fd/{r}", files / "trg.vec", files,
                             QUERY_WORDS, 3)["query"]
-            with source_loads() as rows:
+            with text_loads() as rows:
                 piped = run(argv)
         finally:
             writer.join(timeout=10)
             os.close(r)
         assert not writer.is_alive()
-        assert rows == [N_FILE]
+        assert rows == {"src": [N_FILE], "trg": []}
         argv = commands(ucu_model, files / "src.vec", files / "trg.vec", files,
                         QUERY_WORDS, 3)["query"]
         assert piped == run(argv)
 
 
+def tampered(model, path, **fields):
+    """model's container with fields replaced."""
+    with np.load(model) as data:
+        blob = dict(data)
+    blob.update(fields)
+    with open(path, "wb") as fh:
+        np.savez(fh, **blob)
+    return path
+
+
 @pytest.mark.parametrize("center", [np.zeros(9), np.full(10, np.nan)])
 def test_bad_centring_vector_is_rejected(ucu_model, tmp_path, center):
-    with np.load(ucu_model) as data:
-        fields = dict(data)
-    fields["src_center"] = center
-    bad = tmp_path / "bad.npz"
-    with open(bad, "wb") as fh:
-        np.savez(fh, **fields)
+    bad = tampered(ucu_model, tmp_path / "bad.npz", src_center=center)
     with pytest.raises(ValueError, match="centring vectors must be finite"):
         load_model(str(bad))
+
+
+class TestStoredSideChecks:
+    """A version-3 file whose stored side is inconsistent fails every command
+    with one error line, before any file is read."""
+
+    @pytest.mark.parametrize("side", ["src", "trg"])
+    @pytest.mark.parametrize("case", ["count", "duplicate", "non-finite", "digest"])
+    def test_inconsistent_side_is_rejected(self, files, ucu_model, tmp_path, side, case):
+        with np.load(ucu_model) as data:
+            words = bytes(data[f"{side}_words"]).decode().split("\n")
+            vectors = data[f"{side}_vectors"].copy()
+            digest = str(data[f"{side}_sha256"][()])
+        def encoded(names):
+            return np.frombuffer("\n".join(names).encode(), np.uint8)
+
+        if case == "count":
+            fields = {f"{side}_words": encoded(words[:-1])}
+            message = f"{N_FILE - 1} words for {N_FILE} columns"
+        elif case == "duplicate":
+            words[7] = words[3]
+            fields = {f"{side}_words": encoded(words)}
+            message = f"duplicate word {words[3]!r} in lexicon"
+        elif case == "non-finite":
+            vectors[2, 5] = np.inf
+            fields = {f"{side}_vectors": vectors}
+            message = "embedding matrix contains non-finite entries"
+        else:
+            fields = {f"{side}_sha256": digest[:-1]}
+            message = f"sha256 must be 64 hex digits, got {digest[:-1]!r}"
+        bad = tampered(ucu_model, tmp_path / "bad.npz", **fields)
+        label = {"src": "source", "trg": "target"}[side]
+        with pytest.raises(ValueError, match="model's stored"):
+            load_model(str(bad))
+        with no_text_parsed():
+            for name, argv in commands(bad, files / "src.vec", files / "trg.vec", files,
+                                       QUERY_WORDS).items():
+                rc, out, err = run(argv)
+                assert (rc, out) == (1, ""), name
+                assert err == f"error: model's stored {label} side: {message}\n", name
 
 
 class TestCheckDimensions:
@@ -317,12 +409,12 @@ def sessions(draw):
     return n, dim, seed, scheme, sorted(zero), queries, gold, triples
 
 
-class TestSubsetBytes:
-    """The subset read gives the bytes that the full parse gives."""
+class TestStoredBytes:
+    """The stored sides give the bytes that the full parse gives."""
 
     @settings(deadline=None, max_examples=60)
     @given(sessions())
-    def test_subset_and_full_parse_print_the_same(self, tmp_path_factory, session):
+    def test_stored_and_full_parse_print_the_same(self, tmp_path_factory, session):
         n, dim, seed, scheme, zero, queries, gold, triples = session
         d = tmp_path_factory.mktemp("session")
         rng = np.random.default_rng(seed)
@@ -330,9 +422,11 @@ class TestSubsetBytes:
         S = rng.standard_normal((dim, n)) + 2.0
         S[:, zero] = 0.0
         T = S + 0.1 * rng.standard_normal((dim, n))
+        T[:, zero[:1]] = 0.0
         save_embeddings(d / "src.vec", Lexicon(words), EmbeddingMatrix(dim, S))
         save_embeddings(d / "trg.vec", Lexicon(words), EmbeddingMatrix(dim, T))
         same_rows_copy(d / "src.vec", d / "src-copy.vec")
+        same_rows_copy(d / "trg.vec", d / "trg-copy.vec")
         (d / "gold.tsv").write_text("".join(f"{s}\t{t}\n" for s, t in gold))
         (d / "ws.tsv").write_text("".join(f"{s}\t{t}\t{v}\n" for s, t, v in triples))
         rc, _, err = run([
@@ -342,35 +436,34 @@ class TestSubsetBytes:
             "--model-out", str(d / "m.npz"), "--quiet",
         ])
         assert rc == 0, err
-        assert load_model(str(d / "m.npz")).src_dropped == (
-            tuple(words[j] for j in zero) if scheme != NORM_NONE else ()
-        )
+        model = load_model(str(d / "m.npz"))
+        # the stored lexicons already leave the dropped zero vectors out
+        dropped = set(zero) if scheme != NORM_NONE else set()
+        assert model.src.lexicon.words == [w for j, w in enumerate(words) if j not in dropped]
+        assert model.trg.lexicon.words == [
+            w for j, w in enumerate(words) if j not in (dropped & set(zero[:1]))
+        ]
 
         outputs = {}
-        for src in ("src.vec", "src-copy.vec"):
-            cmds = commands(d / "m.npz", d / src, d / "trg.vec", d, queries, 3, min(2, n))
-            cmds["wordsim"] = ["evaluate", *emb_args(d / "m.npz", d / src, d / "trg.vec"),
+        for src, trg in (("src.vec", "trg.vec"), ("src-copy.vec", "trg-copy.vec")):
+            cmds = commands(d / "m.npz", d / src, d / trg, d, queries, 3, min(2, n))
+            cmds["wordsim"] = ["evaluate", *emb_args(d / "m.npz", d / src, d / trg),
                                "--wordsim", str(d / "ws.tsv"), "--json"]
-            with source_loads() as rows:
-                outputs[src] = {name: run(argv) for name, argv in cmds.items()}
-            outputs[src]["rows"] = rows
-        subset, full = outputs["src.vec"], outputs["src-copy.vec"]
-        assert full.pop("rows") == [n] * 4
-        scored = [set(s for s, _ in gold), set(s for s, _ in gold), set(queries),
-                  set(s for s, _, _ in triples)]
-        dropped = {words[j] for j in zero} if scheme != NORM_NONE else set()
-        expected_rows = []
-        for want in scored:
-            kept = (want & set(words)) | dropped
-            expected_rows.append(len(kept) + (len(kept) < n))
-        assert subset.pop("rows") == expected_rows
-        assert subset == full
+            if src == "src.vec":
+                with no_text_parsed():
+                    outputs[src] = {name: run(argv) for name, argv in cmds.items()}
+            else:
+                with text_loads() as rows:
+                    outputs[src] = {name: run(argv) for name, argv in cmds.items()}
+                assert rows == {"src": [n] * 4, "trg": [n] * 4}
+        assert outputs["src.vec"] == outputs["src-copy.vec"]
 
 
 class TestNumpyTraps:
-    """Why the subset read keeps two rows at least and builds a C-ordered
-    matrix: on 300-dimensional rows, the norms of a lone column and of an
-    F-ordered selection differ in the last bit from the full matrix's."""
+    """Why evaluation takes the stored matrix or normalizes the whole file,
+    never a selection of its columns: on 300-dimensional rows, the norms of
+    a lone column and of an F-ordered selection differ in the last bit from
+    the full matrix's."""
 
     @pytest.fixture(scope="class")
     def wide(self, tmp_path_factory):
@@ -402,25 +495,14 @@ class TestNumpyTraps:
         assert (lone != norms).any()
         assert (np.linalg.norm(picked, axis=0) != norms[::2]).any()
 
-    def test_subset_matrix_is_c_ordered_with_full_norms(self, wide):
-        space = load_model(str(wide / "m.npz"))
-        words = {f"w{j}" for j in range(1, 50, 2)}
-        lex, sub = load_embeddings(str(wide / "src.vec"), words=words, sha256=space.src_sha256)
-        _, full = load_embeddings(str(wide / "src.vec"))
-        assert sub.data.flags.c_contiguous
-        # w0, the first row of another word, comes along
-        ids = np.array([0, *range(1, 50, 2)])
-        assert lex.words == [f"w{j}" for j in ids]
-        assert sub.data.tobytes() == np.ascontiguousarray(full.data[:, ids]).tobytes()
-        assert (np.linalg.norm(sub.data, axis=0) == np.linalg.norm(full.data, axis=0)[ids]).all()
-
     @pytest.mark.parametrize("word", ["w0", "w1", "w49"])
     def test_one_word_query(self, wide, word):
         printed = []
         for src in ("src.vec", "src-copy.vec"):
             argv = commands(wide / "m.npz", wide / src, wide / "trg.vec", wide, [word], 5)
-            with source_loads() as rows:
+            with text_loads() as rows:
                 printed.append(run(argv["query"]))
             printed.append(rows)
-        assert printed[1] == [2] and printed[3] == [50]
+        assert printed[1] == {"src": [], "trg": []}
+        assert printed[3] == {"src": [50], "trg": []}
         assert printed[0] == printed[2]
