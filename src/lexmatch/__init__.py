@@ -8,12 +8,7 @@ from lexmatch.embeddings import (
     save_embeddings,
 )
 from lexmatch.candidates import CandidateGraph, build_candidates, edge_weight
-from lexmatch.assignment import (
-    Matching,
-    brute_force_matching,
-    hungarian_dense,
-    solve_sparse_lap,
-)
+from lexmatch.assignment import Matching, solve_sparse_lap
 from lexmatch.em import (
     EmCollapseError,
     EmConfig,
@@ -22,7 +17,6 @@ from lexmatch.em import (
     ModelParams,
     TrainedSide,
     centroid,
-    duplicate_and_merge,
     e_step_matching,
     e_step_one_to_many,
     load_model,

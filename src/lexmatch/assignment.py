@@ -1,14 +1,11 @@
-"""Maximum-weight bipartite matching solvers.
+"""Maximum-weight bipartite matching under the priors' degree caps.
 
-Three routes to the same optimum, used to cross-check each other:
-
-* solve_sparse_lap: successive shortest augmenting paths with dual
-  potentials (Dijkstra on the sparse adjacency), the production solver.
-  Pair sets under a prior's degree caps come out of a formulation where
-  every source slot also owns a private zero-cost "stay unmatched" column,
-  and maximization is turned into minimization by negating weights.
-* hungarian_dense: dense oracle delegating to scipy's assignment solver.
-* brute_force_matching: exhaustive enumeration for tiny instances.
+solve_sparse_lap is the one solver: successive shortest augmenting paths
+with dual potentials (Dijkstra on the sparse adjacency).  Every source slot
+also owns a private zero-cost "stay unmatched" column, so the matching is
+partial, and maximization is turned into minimization by negating weights.
+The tests check it against a dense Hungarian oracle and exhaustive
+enumeration, kept in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -18,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from lexmatch.candidates import CandidateGraph
 
@@ -75,22 +71,6 @@ class Matching:
         mask = np.ones(self.n_trg, dtype=bool)
         mask[self.trg] = False
         return np.flatnonzero(mask)
-
-
-def hungarian_dense(weights: np.ndarray) -> Matching:
-    """Maximum-weight perfect matching of a square dense matrix; test oracle.
-
-    weights[i, j] scores pairing target i with source j.
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weight matrix contains non-finite entries")
-    rows, cols = linear_sum_assignment(w, maximize=True)
-    m = Matching(w.shape[0], w.shape[0], rows, cols, w[rows, cols])
-    m.assert_degrees(1, 1)
-    return m
 
 
 def solve_sparse_lap(g: CandidateGraph, trg_cap: int = 1, src_cap: int = 1) -> Matching:
@@ -217,41 +197,5 @@ def solve_sparse_lap(g: CandidateGraph, trg_cap: int = 1, src_cap: int = 1) -> M
     held = (np.array(seat_of, dtype=np.int64) // tc).reshape(src_cap, ns)[:, edge_src]
     chosen = (g.targets == held).any(axis=0)
     m = Matching(nt, ns, g.targets[chosen], edge_src[chosen], g.weights[chosen])
-    m.assert_degrees(trg_cap, src_cap)
-    return m
-
-
-def brute_force_matching(g: CandidateGraph, trg_cap: int = 1, src_cap: int = 1) -> Matching:
-    """Optimal pair set under degree caps by exhaustive enumeration; oracle for tiny graphs."""
-    if g.n_src + g.n_trg > 16:
-        raise ValueError(
-            f"instance too large for brute force: {g.n_src} + {g.n_trg} vertices > 16"
-        )
-    edges = [(int(i), j, float(w)) for j in range(g.n_src) for i, w in zip(*g.edges_of(j))]
-    degree = [0] * (g.n_trg + g.n_src)  # targets, then sources
-    best_weight = -math.inf
-    best_pairs: list[tuple[int, int, float]] = []
-
-    def recurse(e: int, acc: float, chosen: list[tuple[int, int, float]]):
-        nonlocal best_weight, best_pairs
-        if e == len(edges):
-            if acc > best_weight:
-                best_weight = acc
-                best_pairs = list(chosen)
-            return
-        recurse(e + 1, acc, chosen)
-        i, j, w = edges[e]
-        if degree[i] < trg_cap and degree[g.n_trg + j] < src_cap:
-            degree[i] += 1
-            degree[g.n_trg + j] += 1
-            chosen.append(edges[e])
-            recurse(e + 1, acc + w, chosen)
-            chosen.pop()
-            degree[i] -= 1
-            degree[g.n_trg + j] -= 1
-
-    recurse(0, 0.0, [])
-    trg, src, weight = zip(*best_pairs) if best_pairs else ((), (), ())
-    m = Matching(g.n_trg, g.n_src, trg, src, weight)
     m.assert_degrees(trg_cap, src_cap)
     return m

@@ -55,10 +55,6 @@ class CandidateGraph:
     def n_edges(self) -> int:
         return int(self.indptr[-1])
 
-    def edges_of(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.indptr[j], self.indptr[j + 1]
-        return self.targets[lo:hi], self.weights[lo:hi]
-
     def validate(self) -> None:
         if self.indptr.shape != (self.n_src + 1,) or self.indptr[0] != 0:
             raise ValueError("malformed indptr")

@@ -174,6 +174,7 @@ def centroid(T: EmbeddingMatrix, u_trg, prev_mu: np.ndarray) -> np.ndarray:
     return T.data[:, idx].mean(axis=1)
 
 
+# only the 1:2 reference for solve_sparse_lap's slots; kept since perfbench's tracer wraps it by name
 def duplicate_and_merge(
     g: CandidateGraph,
 ) -> tuple[CandidateGraph, Callable[[Matching], Matching]]:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from lexmatch.candidates import score_top_k
 from lexmatch.em import ModelParams
@@ -153,7 +152,7 @@ def word_similarity(
 ) -> tuple[float, float]:
     """Spearman correlation between gold scores and model cosines.
 
-    Tied ranks are averaged (scipy's convention).  Triples with an
+    Tied ranks get their average rank.  Triples with an
     out-of-vocabulary word on either side are skipped; coverage reports
     the surviving fraction.  At least two usable triples are required, and
     neither the gold scores nor the cosines may be all equal.
@@ -177,6 +176,8 @@ def word_similarity(
     for name, x in (("gold scores", np.asarray(golds)), ("cosines", cos)):
         if (x == x[0]).all():
             raise ValueError(f"the {name} are constant; Spearman's correlation is undefined")
+    from scipy.stats import spearmanr  # here, so that no other command loads scipy
+
     rho = spearmanr(golds, cos).statistic
     return float(rho), len(golds) / len(triples)
 

@@ -64,10 +64,16 @@ def pairs(m):
     return list(zip(m.trg.tolist(), m.src.tolist()))
 
 
+def edges_of(g, j):
+    """Source j's candidate targets and weights, in adjacency order."""
+    lo, hi = g.indptr[j], g.indptr[j + 1]
+    return g.targets[lo:hi], g.weights[lo:hi]
+
+
 def graph_edges(g):
     """A graph's edges as [(target, source, weight), ...], source-major in row order."""
     return [
-        (int(i), j, float(w)) for j in range(g.n_src) for i, w in zip(*g.edges_of(j))
+        (int(i), j, float(w)) for j in range(g.n_src) for i, w in zip(*edges_of(g, j))
     ]
 
 

@@ -22,11 +22,7 @@ from conftest import (
     unit_columns,
     write_planted_numerals,
 )
-from lexmatch.assignment import (
-    brute_force_matching,
-    hungarian_dense,
-    solve_sparse_lap,
-)
+from lexmatch.assignment import solve_sparse_lap
 from lexmatch.candidates import edge_weight
 from lexmatch.em import (
     PRIOR_CAPS,
@@ -44,6 +40,7 @@ from lexmatch.em import (
 from lexmatch.embeddings import EmbeddingMatrix
 from lexmatch.evaluation import hubness, translate_batch
 from lexmatch.seeds import PROVENANCE_TSV, SeedDictionary
+from oracles import brute_force_matching, hungarian_dense
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from conftest import (
+    edges_of,
     graph,
     graph_edges,
     graph_from_dense,
@@ -15,12 +16,7 @@ from conftest import (
     random_sparse_graph,
     tie_heavy_graph,
 )
-from lexmatch.assignment import (
-    Matching,
-    brute_force_matching,
-    hungarian_dense,
-    solve_sparse_lap,
-)
+from lexmatch.assignment import Matching, solve_sparse_lap
 from lexmatch.em import (
     PRIOR_CAPS,
     PRIOR_ONE_TO_ONE,
@@ -28,6 +24,7 @@ from lexmatch.em import (
     PRIOR_TWO_TO_TWO,
     duplicate_and_merge,
 )
+from oracles import brute_force_matching, hungarian_dense
 
 # (target, source) caps of the priors that solve_sparse_lap solves
 MATCHING_CAPS = [PRIOR_CAPS[p] for p in (PRIOR_ONE_TO_ONE, PRIOR_ONE_TO_TWO, PRIOR_TWO_TO_TWO)]
@@ -199,7 +196,7 @@ class TestSolveSparseLap:
         new_id = np.sort(rng.choice(g.n_src + pad, size=g.n_src, replace=False))
         lists = [[] for _ in range(g.n_src + pad)]
         for j in range(g.n_src):
-            t, w = g.edges_of(j)
+            t, w = edges_of(g, j)
             lists[new_id[j]] = list(zip(t.tolist(), w.tolist()))
         padded = graph(g.n_src + pad, g.n_trg, lists)
         m = solve_sparse_lap(g)

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graph, graph_edges, random_orthogonal, random_unit_matrix, unit_columns
+from conftest import (
+    edges_of,
+    graph,
+    graph_edges,
+    random_orthogonal,
+    random_unit_matrix,
+    unit_columns,
+)
 from lexmatch.candidates import build_candidates, edge_weight
 from lexmatch.em import ModelParams
 
@@ -70,7 +77,7 @@ class TestBuildCandidates:
         g = build_candidates(S, T, params, k=3)
         expected = naive_topk(S, T, params, 3)
         for j in range(9):
-            targets, weights = g.edges_of(j)
+            targets, weights = edges_of(g, j)
             assert targets.tolist() == [i for i, _ in expected[j]]
             np.testing.assert_allclose(weights, [w for _, w in expected[j]], atol=1e-12)
 
@@ -93,7 +100,7 @@ class TestBuildCandidates:
         params = self.params(5, rng)
         g = build_candidates(S, T, params, k=1)
         for j in range(8):
-            targets, weights = g.edges_of(j)
+            targets, weights = edges_of(g, j)
             scored = [
                 edge_weight(T.data[:, i], S.data[:, j], params) for i in range(6)
             ]
@@ -135,7 +142,7 @@ class TestBuildCandidates:
             2, np.column_stack([np.array([1.0, 0.0]), tied, tied, tied])
         )
         g = build_candidates(S, T, IDENT2, k=2)
-        targets, weights = g.edges_of(0)
+        targets, weights = edges_of(g, 0)
         assert targets.tolist() == [0, 1]
         np.testing.assert_allclose(weights, [0.5, 0.3], atol=1e-12)
 
@@ -148,7 +155,7 @@ class TestBuildCandidates:
         g = build_candidates(S, T, params, k=3, restrict=(6, 5))
         assert g.n_src == 10 and g.n_trg == 9
         for j in range(6, 10):
-            targets, _ = g.edges_of(j)
+            targets, _ = edges_of(g, j)
             assert targets.size == 0
         assert g.n_edges == 0 or int(g.targets.max()) < 5
         sub = build_candidates(

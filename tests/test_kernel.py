@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import edges_of
 from lexmatch import candidates
 from lexmatch.candidates import build_candidates, edge_weight
 from lexmatch.em import EmConfig, ModelParams, e_step_one_to_many, PRIOR_ONE_TO_MANY
@@ -104,7 +105,7 @@ class TestKernelCallers:
         g.validate()
         assert g.n_src == S.n_words and g.n_trg == T.n_words
         for j in range(S.n_words):
-            targets, weights = g.edges_of(j)
+            targets, weights = edges_of(g, j)
             expected = [] if j >= ns else [i for i in ranked(W, k)[j] if W[j, i] >= 0.0]
             assert targets.tolist() == expected
             assert weights.tolist() == [W[j, i] for i in expected]
