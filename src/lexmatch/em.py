@@ -30,7 +30,6 @@ from lexmatch.assignment import Matching, solve_sparse_lap
 from lexmatch.candidates import (
     CandidateGraph,
     build_candidates,
-    edge_weight,
     score_top_k,
     weight_terms,
 )
@@ -269,13 +268,17 @@ def _pin_seed_pairs(
 
     Sources are shared freely under one-to-many, where kept pairs also keep
     their E-step weight; under the matching priors kept pairs are rescored
-    with edge_weight, as the seed pairs always are.
+    to edge_weight's bits, as the seed pairs always are.
     """
-    def scored(trg: np.ndarray, src: np.ndarray) -> list[float]:
-        return [
-            edge_weight(T.data[:, i], S.data[:, j], params)
-            for i, j in zip(trg.tolist(), src.tolist())
-        ]
+    def scored(trg: np.ndarray, src: np.ndarray) -> np.ndarray:
+        # edge_weight of each pair bit for bit: the same matrix-vector and
+        # dot products, stacked over unit-stride rows
+        t = np.ascontiguousarray(T.data[:, trg].T)
+        s = np.ascontiguousarray(S.data[:, src].T)
+        diff = t - np.matmul(params.omega, s[:, :, None])[:, :, 0]
+        back = t - params.mu
+        dd, bb = (np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0] for v in (diff, back))
+        return -0.5 * (dd - bb)
 
     keep = ~np.isin(m.trg, seed.trg)
     if not one_to_many:
@@ -311,6 +314,12 @@ def run_em(
     PRIOR_CAPS (ValueError otherwise), and every pinned result is checked
     against them.
 
+    Once an E-step returns the pairs of the iteration before, the M-step
+    would return the parameters it was given, and every later E-step the
+    same pairs: such iterations are recorded, logged and stop-tested from
+    the last results without being recomputed.  The trace, the stop rule
+    and the outputs are those of recomputing every iteration.
+
     Returns final params, the last E-step pair set and the per-iteration
     trace.
     """
@@ -343,19 +352,21 @@ def run_em(
     one_to_many = config.prior == PRIOR_ONE_TO_MANY
     assignment = Matching(T.n_words, S.n_words, [], [], [])
     prev_cos: float | None = None
+    previous: Matching | None = None  # the pairs of the iteration before
+    changed = True  # whether params moved since the last E-step
 
     for it in range(1, config.max_iters + 1):
-        if one_to_many:
-            assignment = e_step_one_to_many(S, T, params, config)
-        else:
-            assignment = e_step_matching(S, T, params, config)
-        if pinned is not None:
-            assignment = _pin_seed_pairs(assignment, pinned, one_to_many, S, T, params)
-            assignment.assert_degrees(*caps)
-        if not len(assignment):
-            raise EmCollapseError(f"E-step produced an empty matching at iteration {it}")
-
-        mean_cos = _mean_cosine(S, T, params, assignment)
+        if changed:
+            if one_to_many:
+                assignment = e_step_one_to_many(S, T, params, config)
+            else:
+                assignment = e_step_matching(S, T, params, config)
+            if pinned is not None:
+                assignment = _pin_seed_pairs(assignment, pinned, one_to_many, S, T, params)
+                assignment.assert_degrees(*caps)
+            if not len(assignment):
+                raise EmCollapseError(f"E-step produced an empty matching at iteration {it}")
+            mean_cos = _mean_cosine(S, T, params, assignment)
         rec = EmIteration(it, len(assignment), assignment.total_weight, mean_cos)
         trace.append(rec)
         logger.info(
@@ -363,7 +374,15 @@ def run_em(
             rec.iteration, rec.matched, rec.total_weight, rec.mean_cosine,
         )
 
-        params = m_step(S, T, assignment, params, update_mu=config.update_mu)
+        # m_step reads only the pairs (and params.mu where it keeps it), so on
+        # the pairs the previous iteration gave it, it returns params again
+        changed = previous is None or not (
+            np.array_equal(assignment.trg, previous.trg)
+            and np.array_equal(assignment.src, previous.src)
+        )
+        if changed:
+            params = m_step(S, T, assignment, params, update_mu=config.update_mu)
+        previous = assignment
 
         if (
             prev_cos is not None

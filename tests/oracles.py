@@ -1,11 +1,14 @@
-"""Reference solvers that the tests check lexmatch.assignment.solve_sparse_lap against.
+"""References that the tests check lexmatch against.
 
 * hungarian_dense: dense maximum-weight perfect matching, delegating to
   scipy's assignment solver.
 * brute_force_matching: exhaustive enumeration under degree caps, for tiny
   graphs.
+* run_em_reference: the hard-EM loop that recomputes every iteration, for
+  lexmatch.em.run_em, which reuses the results of unchanged parameters.
 """
 
+import logging
 import math
 
 import numpy as np
@@ -13,6 +16,22 @@ from scipy.optimize import linear_sum_assignment
 
 from conftest import graph_edges
 from lexmatch.assignment import Matching
+from lexmatch.em import (
+    PRIOR_CAPS,
+    PRIOR_ONE_TO_MANY,
+    EmCollapseError,
+    EmIteration,
+    EmTrace,
+    ModelParams,
+    _mean_cosine,
+    _pin_seed_pairs,
+    e_step_matching,
+    e_step_one_to_many,
+    m_step,
+    procrustes,
+)
+
+logger = logging.getLogger(__name__)
 
 
 def hungarian_dense(weights: np.ndarray) -> Matching:
@@ -65,3 +84,56 @@ def brute_force_matching(g, trg_cap: int = 1, src_cap: int = 1) -> Matching:
     m = Matching(g.n_trg, g.n_src, trg, src, weight)
     m.assert_degrees(trg_cap, src_cap)
     return m
+
+
+def run_em_reference(S, T, seed, config):
+    """run_em's loop with the E-step, the pinning, the mean cosine and the
+    M-step run on every iteration; it logs run_em's per-iteration lines."""
+    src_idx = np.array([j for j, _ in seed.pairs], dtype=np.int64)
+    trg_idx = np.array([i for _, i in seed.pairs], dtype=np.int64)
+    caps = PRIOR_CAPS[config.prior]
+    pinned = None
+    if config.pin_seed:
+        pinned = Matching(T.n_words, S.n_words, trg_idx, src_idx, np.zeros(trg_idx.size))
+        pinned.assert_degrees(*caps)
+    params = ModelParams(
+        procrustes(S.data[:, src_idx], T.data[:, trg_idx]),
+        np.zeros(S.dim, dtype=np.float64),
+    )
+
+    trace = EmTrace()
+    one_to_many = config.prior == PRIOR_ONE_TO_MANY
+    assignment = Matching(T.n_words, S.n_words, [], [], [])
+    prev_cos = None
+
+    for it in range(1, config.max_iters + 1):
+        if one_to_many:
+            assignment = e_step_one_to_many(S, T, params, config)
+        else:
+            assignment = e_step_matching(S, T, params, config)
+        if pinned is not None:
+            assignment = _pin_seed_pairs(assignment, pinned, one_to_many, S, T, params)
+            assignment.assert_degrees(*caps)
+        if not len(assignment):
+            raise EmCollapseError(f"E-step produced an empty matching at iteration {it}")
+
+        mean_cos = _mean_cosine(S, T, params, assignment)
+        rec = EmIteration(it, len(assignment), assignment.total_weight, mean_cos)
+        trace.append(rec)
+        logger.info(
+            "iter=%d matched=%d total_weight=%.10f mean_cosine=%.10f",
+            rec.iteration, rec.matched, rec.total_weight, rec.mean_cosine,
+        )
+
+        params = m_step(S, T, assignment, params, update_mu=config.update_mu)
+
+        if (
+            prev_cos is not None
+            and it >= config.min_iters
+            and mean_cos - prev_cos < config.convergence_eps
+        ):
+            trace.stop_reason = "converged" if mean_cos >= prev_cos else "cosine_dropped"
+            break
+        prev_cos = mean_cos
+
+    return params, assignment, trace

@@ -1,10 +1,11 @@
+import logging
 import zipfile
 from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -19,6 +20,7 @@ from conftest import (
     unit_columns,
 )
 from lexmatch.assignment import Matching, solve_sparse_lap
+from lexmatch.candidates import edge_weight
 from lexmatch.em import (
     PRIOR_CAPS,
     PRIOR_ONE_TO_MANY,
@@ -30,6 +32,7 @@ from lexmatch.em import (
     Model,
     ModelParams,
     TrainedSide,
+    _pin_seed_pairs,
     centroid,
     duplicate_and_merge,
     e_step_matching,
@@ -42,7 +45,7 @@ from lexmatch.em import (
 )
 from lexmatch.embeddings import NORM_UNIT, NORM_UNIT_CENTER_UNIT, EmbeddingMatrix, Lexicon
 from lexmatch.seeds import PROVENANCE_TSV, SeedDictionary
-from oracles import brute_force_matching
+from oracles import brute_force_matching, run_em_reference
 
 
 def seed_of(pairs):
@@ -367,14 +370,14 @@ class TestRunEm:
             return
         seen = []
 
-        def recording_m_step(S, T, matching, *args, **kwargs):
-            seen.append(matching)
-            return m_step(S, T, matching, *args, **kwargs)
+        def recording_pin(*args):
+            seen.append(_pin_seed_pairs(*args))
+            return seen[-1]
 
-        with mock.patch("lexmatch.em.m_step", recording_m_step):
+        with mock.patch("lexmatch.em._pin_seed_pairs", recording_pin):
             _, final, _ = run_em(inst["S"], inst["T"], seed_of(seed_pairs), config)
         assert seen and seen[-1] is final
-        for m in seen:
+        for m in (*seen, final):
             got = pairs(m)
             assert all((i, j) in got for j, i in seed_pairs)
             assert max(Counter(i for i, _ in got).values()) <= trg_cap
@@ -390,6 +393,140 @@ class TestRunEm:
         S = EmbeddingMatrix(2, np.eye(2))
         with pytest.raises(ValueError, match="range"):
             run_em(S, S, seed_of([(0, 5)]), EmConfig())
+
+
+class TestFixedPointReuse:
+    """run_em records the iterations whose parameters did not change without
+    recomputing them, and returns what the loop that recomputes them does."""
+
+    @staticmethod
+    def counted_run(S, T, seed, config):
+        """run_em's results and its numbers of E-steps and M-steps."""
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        with (
+            mock.patch("lexmatch.em.e_step_matching", counting("e", e_step_matching)),
+            mock.patch("lexmatch.em.m_step", counting("m", m_step)),
+        ):
+            out = run_em(S, T, seed, config)
+        return out, calls["e"], calls["m"]
+
+    @pytest.mark.parametrize("min_iters, max_iters", [(1, 500), (5, 5), (5, 8)])
+    def test_no_recomputation_after_the_fixed_point(self, min_iters, max_iters):
+        """Iteration 2 returns iteration 1's pairs here: one M-step and two
+        E-steps, however many iterations are recorded after them."""
+        inst = planted_instance(60, 8, 0.05, 10, np.random.default_rng(0))
+        config = EmConfig(k=3, min_iters=min_iters, max_iters=max_iters)
+        (_, _, trace), e_steps, m_steps = self.counted_run(
+            inst["S"], inst["T"], inst["seed"], config
+        )
+        assert len(trace) == max(3, min_iters) and trace.converged
+        assert (e_steps, m_steps) == (2, 1)
+
+    def test_first_m_step_always_runs(self):
+        """Iteration 1 returns exactly the seed pairs, but the seed fit set
+        mu = 0, so its M-step runs and moves mu to the unmatched target."""
+        S = EmbeddingMatrix(3, np.eye(3))
+        T = EmbeddingMatrix(3, np.column_stack([np.eye(3), [-1.0, 0.0, 0.0]]))
+        seed = seed_of([(0, 0), (1, 1), (2, 2)])
+        (params, match, trace), e_steps, m_steps = self.counted_run(S, T, seed, EmConfig(k=3))
+        assert pairs(match) == [(0, 0), (1, 1), (2, 2)]
+        np.testing.assert_array_equal(params.mu, [-1.0, 0.0, 0.0])
+        assert len(trace) == 2 and (e_steps, m_steps) == (2, 1)
+
+    @settings(
+        deadline=None, max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        st.sampled_from(sorted(PRIOR_CAPS)),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from([1, 3]),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_same_bytes_as_the_reference_loop(
+        self, caplog, prior, pin_seed, update_mu, restrict, threads, min_iters, max_iters, seed
+    ):
+        """Parameters, pairs, weights, trace, stop reason and log lines are
+        byte for byte those of the loop that recomputes every iteration."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 40))
+        inst = planted_instance(
+            n, int(rng.integers(1, 9)), float(rng.choice([0.0, 0.05, 0.3])),
+            int(rng.integers(1, n + 1)), rng,
+        )
+        config = EmConfig(
+            k=int(rng.integers(1, 5)),
+            rank_restrict=tuple(rng.integers(1, n + 1, size=2).tolist()) if restrict else None,
+            prior=prior,
+            min_iters=min_iters,
+            max_iters=max_iters,
+            update_mu=update_mu,
+            pin_seed=pin_seed,  # planted seed pairs fit every prior's caps
+            threads=threads,
+        )
+        results = []
+        for name, train in (("lexmatch.em", run_em), ("oracles", run_em_reference)):
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger=name):
+                try:
+                    params, match, trace = train(inst["S"], inst["T"], inst["seed"], config)
+                    out = (
+                        [a.tobytes() for a in (params.omega, params.mu)],
+                        [a.tobytes() for a in (match.trg, match.src, match.weight)],
+                        [(r.iteration, r.matched, r.total_weight.hex(), r.mean_cosine.hex())
+                         for r in trace.records],
+                        trace.stop_reason,
+                    )
+                except EmCollapseError as exc:
+                    out = str(exc)
+            results.append((out, [r.getMessage() for r in caplog.records if r.name == name]))
+        assert results[0] == results[1]
+
+
+class TestPinnedRescoring:
+    @settings(deadline=None, max_examples=120)
+    @given(
+        st.integers(min_value=1, max_value=300),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_weights_are_edge_weight_bit_for_bit(self, d, ties, seed):
+        """Under a matching prior every weight of a pinned result, kept pair
+        or seed pair, is edge_weight of that pair to the last bit, on
+        Gaussian vectors or on small integers, which tie often."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        def draw(*shape):
+            if ties:
+                return rng.integers(-2, 3, size=shape).astype(np.float64)
+            return rng.standard_normal(shape)
+
+        if ties:
+            omega = np.eye(d)[rng.permutation(d)] * rng.choice([-1.0, 1.0], size=d)
+        else:
+            omega = random_orthogonal(d, rng)
+        S, T = EmbeddingMatrix(d, draw(d, n)), EmbeddingMatrix(d, draw(d, n))
+        params = ModelParams(omega, draw(d))
+        size = int(rng.integers(0, 40))
+        m = Matching(n, n, rng.integers(0, n, size), rng.integers(0, n, size), np.zeros(size))
+        n_seed = int(rng.integers(1, n + 1))
+        pinned = Matching(
+            n, n, rng.choice(n, n_seed, replace=False), rng.choice(n, n_seed, replace=False),
+            np.zeros(n_seed),
+        )
+        got = _pin_seed_pairs(m, pinned, False, S, T, params)
+        want = [edge_weight(T.data[:, i], S.data[:, j], params) for i, j in pairs(got)]
+        assert got.weight.tobytes() == np.array(want, dtype=np.float64).tobytes()
 
 
 class TestPriorCaps:
