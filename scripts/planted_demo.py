@@ -22,31 +22,34 @@ def unit_columns(x):
 
 
 def random_orthogonal(d, rng):
+    """Haar-ish random orthogonal matrix via QR with sign-fixed diagonal."""
     q, r = np.linalg.qr(rng.standard_normal((d, d)))
     return q * np.sign(np.diag(r))
 
 
-def build(args):
-    rng = np.random.default_rng(args.rng_seed)
-    n, d, n_seed = args.n, args.dim, args.n_seeds
+def build(out_dir, n, d, n_seed, noise, rng_seed):
+    """Write src.vec, trg.vec and gold.tsv (source word, true target) into
+    out_dir; return both word lists and inv (source j's true target id)."""
+    rng = np.random.default_rng(rng_seed)
     S = unit_columns(rng.standard_normal((d, n)))
     R = random_orthogonal(d, rng)
     # keep the numeral-named seed words inside any later vocabulary cut
     perm = np.concatenate([np.arange(n_seed), n_seed + rng.permutation(n - n_seed)])
-    T = unit_columns(R @ S[:, perm] + args.noise * rng.standard_normal((d, n)))
+    T = unit_columns(R @ S[:, perm] + noise * rng.standard_normal((d, n)))
     src_words = [str(1990 + j) if j < n_seed else f"s{j}" for j in range(n)]
     trg_words = [
         str(1990 + perm[i]) if perm[i] < n_seed else f"t{perm[i]}" for i in range(n)
     ]
     inv = np.empty(n, dtype=np.int64)
     inv[perm] = np.arange(n)
-    os.makedirs(args.out_dir, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     for name, words, data in (("src.vec", src_words, S), ("trg.vec", trg_words, T)):
-        path = os.path.join(args.out_dir, name)
+        path = os.path.join(out_dir, name)
         save_embeddings(path, Lexicon(words), EmbeddingMatrix(d, data))
-    with open(os.path.join(args.out_dir, "gold.tsv"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(out_dir, "gold.tsv"), "w", encoding="utf-8") as fh:
         for j, w in enumerate(src_words):
             fh.write(f"{w}\t{trg_words[inv[j]]}\n")
+    return src_words, trg_words, inv
 
 
 def run(args):
@@ -85,5 +88,5 @@ def parse_args():
 
 if __name__ == "__main__":
     ns = parse_args()
-    build(ns)
+    build(ns.out_dir, ns.n, ns.dim, ns.n_seeds, ns.noise, ns.rng_seed)
     sys.exit(run(ns))

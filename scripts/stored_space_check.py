@@ -3,36 +3,32 @@ both sides from the model or parses both embedding files in full.
 
     python3 scripts/stored_space_check.py --seed 1
 
-The script generates perfbench's cli-session inputs (5000 x 300 per side)
-with perfbench/gen.py, trains once the way that session does, and runs
-evaluate, hubness and query twice: against src.vec and trg.vec, the files
-training read, whose digests let them take both sides from the model, and
-against copies whose first value is rewritten to an equal float
-(0.110607 -> 0.1106070), whose other digests make them parse every row.  It
-exits 1 unless the exit codes, standard output and hubness files are
-identical, the first runs parsed no text row and the second ones parsed
+The script runs perfbench's cli-session commands (perfbench/workloads.py)
+through perfbench/run.py, on that session's inputs (5000 x 300 per side,
+generated by perfbench/gen.py when missing): induce once, then evaluate,
+hubness and query twice.  The first time they read src.vec and trg.vec, the
+files training read, whose digests let them take both sides from the model.
+The second time they read copies whose first value is rewritten to an equal
+float (0.110607 -> 0.1106070), whose other digests make them parse every
+row.  It exits 1 unless the exit codes, standard output and hubness files
+are identical, the first runs parsed no text row and the second ones parsed
 every row of each side.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
-
-# before numpy is imported, as perfbench pins it
-os.environ.update({v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
-
-import argparse  # noqa: E402
-import contextlib  # noqa: E402
-import io  # noqa: E402
-import subprocess  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
-from unittest import mock  # noqa: E402
+import shutil
+import sys
+import tempfile
+from unittest import mock
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
-import lexmatch.cli  # noqa: E402
+import run as perfbench  # noqa: E402  (pins BLAS to one thread before numpy loads)
+from workloads import CLI_SESSION, session  # noqa: E402
 
 
 def equal_float_copy(src: str, dst: str) -> None:
@@ -51,80 +47,62 @@ def equal_float_copy(src: str, dst: str) -> None:
                 out.write(line)
 
 
-def run(argv: list[str], stdin_path: str | None = None) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(contextlib.redirect_stdout(out))
-        if stdin_path:
-            stdin = stack.enter_context(open(stdin_path, encoding="utf-8"))
-            stack.enter_context(mock.patch("sys.stdin", stdin))
-        rc = lexmatch.cli.main(argv)
-    return rc, out.getvalue()
-
-
-def session(d: str, out: str, src: str, trg: str) -> tuple[dict, dict]:
-    """Exit code, stdout and output file of each command; rows of each text
+def evaluations(cli, ops) -> tuple[dict, dict]:
+    """Exit code, stdout and output file of each operation; rows of each text
     load, per side."""
-    emb = ["--model", os.path.join(out, "model.npz"), "--src-emb", src, "--trg-emb", trg]
-    gold = os.path.join(d, "gold.tsv")
-    hub = os.path.join(out, "hubness.tsv")
     results = {}
-    rows: dict = {src: [], trg: []}
-    real = lexmatch.cli.load_embeddings
+    rows: dict = {"src": [], "trg": []}
+    real = cli.load_embeddings
 
     def spy(path, *args, **kwargs):
         lex, mat = real(path, *args, **kwargs)
-        rows[path].append(len(lex))
+        rows[os.path.basename(path).removesuffix(".vec")].append(len(lex))
         return lex, mat
 
-    with mock.patch.object(lexmatch.cli, "load_embeddings", spy):
-        results["evaluate"] = run(["evaluate", *emb, "--eval-dict", gold, "--json"])
-        results["hubness"] = run(["hubness", *emb, "--queries", gold, "--k", "20", "--out", hub])
-        with open(hub, encoding="utf-8") as fh:
-            results["hubness.tsv"] = fh.read()
-        os.remove(hub)
-        results["query"] = run(["query", *emb, "--stdin", "--topn", "10"],
-                               os.path.join(d, "queries.txt"))
-    return results, {"src": rows[src], "trg": rows[trg]}
+    with mock.patch.object(cli, "load_embeddings", spy):
+        for op in ops:
+            rc, _, stdout = perfbench.run_op(cli, op, None)
+            results[op.name] = (rc, stdout)
+            if op.out_path:
+                with open(op.out_path, encoding="utf-8") as fh:
+                    results[os.path.basename(op.out_path)] = fh.read()
+                os.remove(op.out_path)
+    return results, rows
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
-    with tempfile.TemporaryDirectory() as out:
-        subprocess.run(
-            [sys.executable, os.path.join(ROOT, "perfbench", "gen.py"), "--workload",
-             "cli-session", "--seed", str(args.seed), "--out", out],
-            check=True,
-        )
-        d = os.path.join(out, f"medium-{args.seed}")
-        files = {side: os.path.join(d, f"{side}.vec") for side in ("src", "trg")}
-        equal = {side: os.path.join(d, f"{side}-equal.vec") for side in ("src", "trg")}
-        for side in files:
-            equal_float_copy(files[side], equal[side])
-        rc, _ = run([
-            "induce", "--src-emb", files["src"], "--trg-emb", files["trg"],
-            "--seed", "numerals", "--k", "3", "--rank-restrict", "2500",
-            "--normalize", "unit_center_unit", "--threads", "1", "--quiet",
-            "--out-dict", os.path.join(out, "dict.tsv"),
-            "--model-out", os.path.join(out, "model.npz"),
-        ])
+    cli = perfbench.import_program()
+    inst = CLI_SESSION.instances[0]
+    dirs = perfbench.ensure_inputs(CLI_SESSION, args.seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        equal = os.path.join(tmp, inst.name)
+        os.makedirs(out)
+        shutil.copytree(dirs[inst.name], equal)
+        for name in ("src.vec", "trg.vec"):
+            equal_float_copy(os.path.join(dirs[inst.name], name), os.path.join(equal, name))
+        induce, *ops = session(CLI_SESSION, dirs, out)
+        rc, _, _ = perfbench.run_op(cli, induce, None)
         if rc != 0:
             print("stored_space_check: induce failed")
             return 1
-        stored, stored_rows = session(d, out, files["src"], files["trg"])
-        full, full_rows = session(d, out, equal["src"], equal["trg"])
+        stored, stored_rows = evaluations(cli, ops)
+        # the same commands on the copies, against the model trained above
+        full, full_rows = evaluations(cli, session(CLI_SESSION, {inst.name: equal}, out)[1:])
 
     problems = [f"{name} differs" for name in stored if stored[name] != full[name]]
-    problems += [f"{name} exited {stored[name][0]}" for name in ("evaluate", "hubness", "query")
-                 if stored[name][0] != 0]
+    problems += [f"{op.name} exited {stored[op.name][0]}" for op in ops
+                 if stored[op.name][0] != 0]
     parsed = sum(map(sum, stored_rows.values()))
     if parsed != 0:
         problems.append(f"the training files' loads parsed {stored_rows} rows, expected none")
     for side, rows in full_rows.items():
-        if rows != [5000] * 3:
-            problems.append(f"{side}-equal.vec loads returned {rows} rows, expected 5000 each")
+        if rows != [inst.n] * len(ops):
+            problems.append(f"{side}-equal.vec loads returned {rows} rows, "
+                            f"expected {inst.n} each")
     print(f"stored_space_check: seed {args.seed}, text rows parsed {stored_rows} "
           f"against {full_rows}: " + ("; ".join(problems) or "same"))
     return 1 if problems else 0

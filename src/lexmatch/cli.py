@@ -70,6 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Induce and evaluate bilingual dictionaries from monolingual embeddings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the trained model and the two files it is evaluated on
+    model_sides = argparse.ArgumentParser(add_help=False)
+    model_sides.add_argument("--model", required=True)
+    model_sides.add_argument("--src-emb", required=True)
+    model_sides.add_argument("--trg-emb", required=True)
 
     p = sub.add_parser("induce", help="train a mapping and write the induced dictionary")
     p.add_argument("--src-emb", required=True, help="source embeddings, word2vec text format")
@@ -98,30 +103,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet", action="store_true", help="suppress per-iteration log lines")
     p.set_defaults(func=cmd_induce)
 
-    p = sub.add_parser("evaluate", help="score a trained model against gold data")
-    p.add_argument("--model", required=True)
-    p.add_argument("--src-emb", required=True)
-    p.add_argument("--trg-emb", required=True)
+    p = sub.add_parser("evaluate", parents=[model_sides],
+                       help="score a trained model against gold data")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--eval-dict", help="gold dictionary TSV for P@1")
     group.add_argument("--wordsim", help="src<TAB>trg<TAB>score triples for Spearman")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("hubness", help="neighborhood occupancy counts N_k per target word")
-    p.add_argument("--model", required=True)
-    p.add_argument("--src-emb", required=True)
-    p.add_argument("--trg-emb", required=True)
+    p = sub.add_parser("hubness", parents=[model_sides],
+                       help="neighborhood occupancy counts N_k per target word")
     p.add_argument("--queries", required=True,
                    help="dictionary TSV whose in-vocabulary source words form the query set")
     p.add_argument("--k", type=_positive_int, default=20)
     p.add_argument("--out", default=None, help="output TSV (default: stdout)")
     p.set_defaults(func=cmd_hubness)
 
-    p = sub.add_parser("query", help="print nearest target words for source words")
-    p.add_argument("--model", required=True)
-    p.add_argument("--src-emb", required=True)
-    p.add_argument("--trg-emb", required=True)
+    p = sub.add_parser("query", parents=[model_sides],
+                       help="print nearest target words for source words")
     p.add_argument("--word", action="append", default=None,
                    help="source word to query (repeatable)")
     p.add_argument("--stdin", action="store_true", help="read query words from stdin")
@@ -338,8 +337,10 @@ def _fix_mmap_threshold() -> bool:
 def main(argv=None) -> int:
     _fix_mmap_threshold()
     args = build_parser().parse_args(argv)
-    level = logging.WARNING if getattr(args, "quiet", False) else logging.INFO
-    logging.basicConfig(level=level, format="%(message)s", stream=sys.stderr)
+    logging.basicConfig(format="%(message)s", stream=sys.stderr)
+    # set on every call: basicConfig does nothing once the root logger has a handler
+    quiet = getattr(args, "quiet", False)
+    logging.getLogger("lexmatch").setLevel(logging.WARNING if quiet else logging.INFO)
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -125,7 +125,9 @@ def load_embeddings(
         block_rows = max(1, BLOCK_VALUES // dim)
         m = 0
         while block := list(islice(lines, block_rows)):
-            _fill_rows(block, m + 2, data[:, m : m + len(block)].T, names, seen)
+            out = data[:, m : m + len(block)].T
+            if not _bulk_rows(block, m + 2, out, names, seen):
+                _parse_rows(block, m + 2, out, names, seen)
             m += len(block)
         if m < n_rows:
             raise ValueError(
@@ -198,14 +200,6 @@ def _read_header(fh) -> tuple[int, int]:
     if n_declared < 0 or dim <= 0:
         raise ValueError(f"line 1: invalid header counts n={n_declared} d={dim}")
     return n_declared, dim
-
-
-def _fill_rows(
-    lines: list[str], first_line: int, out: np.ndarray, words: list[str], seen: dict[str, int]
-) -> None:
-    """One block of rows: the bulk parse, or the row parser if it declines."""
-    if not _bulk_rows(lines, first_line, out, words, seen):
-        _parse_rows(lines, first_line, out, words, seen)
 
 
 def _parse_rows(

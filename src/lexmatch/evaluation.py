@@ -9,20 +9,14 @@ import numpy as np
 from lexmatch.candidates import score_top_k
 from lexmatch.em import ModelParams
 from lexmatch.embeddings import EmbeddingMatrix, Lexicon
+from lexmatch.seeds import tsv_fields
 
 
 def load_eval_dictionary(path: str) -> dict[str, set[str]]:
     """Gold dictionary TSV; repeated source words accumulate reference sets."""
     entries: dict[str, set[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ValueError(f"line {lineno}: expected 'src<TAB>trg', got {line!r}")
-            entries.setdefault(fields[0], set()).add(fields[1])
+    for _, (src, trg) in tsv_fields(path, "src<TAB>trg"):
+        entries.setdefault(src, set()).add(trg)
     if not entries:
         raise ValueError(f"empty evaluation dictionary {path}")
     return entries
@@ -31,21 +25,11 @@ def load_eval_dictionary(path: str) -> dict[str, set[str]]:
 def load_wordsim_tsv(path: str) -> list[tuple[str, str, float]]:
     """Word-similarity triples "src<TAB>trg<TAB>score"."""
     triples: list[tuple[str, str, float]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(
-                    f"line {lineno}: expected 'src<TAB>trg<TAB>score', got {line!r}"
-                )
-            try:
-                score = float(fields[2])
-            except ValueError:
-                raise ValueError(f"line {lineno}: unparseable score {fields[2]!r}") from None
-            triples.append((fields[0], fields[1], score))
+    for lineno, (src, trg, score) in tsv_fields(path, "src<TAB>trg<TAB>score"):
+        try:
+            triples.append((src, trg, float(score)))
+        except ValueError:
+            raise ValueError(f"line {lineno}: unparseable score {score!r}") from None
     if not triples:
         raise ValueError(f"empty word-similarity file {path}")
     return triples

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from lexmatch.embeddings import Lexicon
@@ -37,6 +38,25 @@ class SeedDictionary:
         return len(self.pairs)
 
 
+def tsv_fields(path: str, shape: str) -> Iterator[tuple[int, list[str]]]:
+    """(1-based line number, fields) for each non-blank line of a UTF-8 TSV file.
+
+    shape spells the line, e.g. "src<TAB>trg"; a line with another number of
+    tab-separated fields raises ValueError naming it.  A CRLF line end reads
+    as LF.
+    """
+    n_fields = shape.count("<TAB>") + 1
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\r\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != n_fields:
+                raise ValueError(f"line {lineno}: expected {shape!r}, got {line!r}")
+            yield lineno, fields
+
+
 def seed_from_tsv(path: str, lex_src: Lexicon, lex_trg: Lexicon) -> SeedDictionary:
     """Load "src<TAB>trg" pairs, skipping out-of-vocabulary entries.
 
@@ -46,24 +66,14 @@ def seed_from_tsv(path: str, lex_src: Lexicon, lex_trg: Lexicon) -> SeedDictiona
     pairs: list[tuple[int, int]] = []
     seen: set[tuple[str, str]] = set()
     n_distinct = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ValueError(
-                    f"line {lineno}: expected 'src<TAB>trg', got {line!r}"
-                )
-            src, trg = fields
-            if (src, trg) in seen:
-                continue
-            seen.add((src, trg))
-            n_distinct += 1
-            if src not in lex_src or trg not in lex_trg:
-                continue
-            pairs.append((lex_src.id(src), lex_trg.id(trg)))
+    for _, (src, trg) in tsv_fields(path, "src<TAB>trg"):
+        if (src, trg) in seen:
+            continue
+        seen.add((src, trg))
+        n_distinct += 1
+        if src not in lex_src or trg not in lex_trg:
+            continue
+        pairs.append((lex_src.id(src), lex_trg.id(trg)))
     if not pairs:
         raise ValueError(
             f"no in-vocabulary seed pairs in {path} ({n_distinct} distinct entries read)"

@@ -4,21 +4,17 @@ Everything here is deterministic given the rng passed in; tests construct
 their own generators with fixed seeds so failures reproduce exactly.
 """
 
+import os
+import sys
+
 import numpy as np
 
 from lexmatch.candidates import CandidateGraph
-from lexmatch.embeddings import EmbeddingMatrix, Lexicon, save_embeddings
+from lexmatch.embeddings import EmbeddingMatrix, Lexicon
 from lexmatch.seeds import PROVENANCE_TSV, SeedDictionary
 
-
-def random_orthogonal(d, rng):
-    """Haar-ish random orthogonal matrix via QR with sign-fixed diagonal."""
-    q, r = np.linalg.qr(rng.standard_normal((d, d)))
-    return q * np.sign(np.diag(r))
-
-
-def unit_columns(x):
-    return x / np.linalg.norm(x, axis=0, keepdims=True)
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts"))
+from planted_demo import build, random_orthogonal, unit_columns  # noqa: E402
 
 
 def random_unit_matrix(d, n, rng):
@@ -129,23 +125,7 @@ def write_planted_numerals(directory):
     survive any vocabulary truncation a test applies.  Returns the paths,
     both word lists and inv (source j's true target id).
     """
-    rng = np.random.default_rng(42)
-    n, d = 40, 8
-    S = unit_columns(rng.standard_normal((d, n)))
-    R = random_orthogonal(d, rng)
-    perm = np.concatenate([np.arange(8), 8 + rng.permutation(n - 8)])
-    T = unit_columns(R @ S[:, perm])
-    src_words = [str(1990 + j) if j < 8 else f"s{j}" for j in range(n)]
-    trg_words = [
-        str(1990 + perm[i]) if perm[i] < 8 else f"t{perm[i]}" for i in range(n)
-    ]
-    inv = np.empty(n, dtype=int)
-    inv[perm] = np.arange(n)
-    save_embeddings(directory / "src.vec", Lexicon(src_words), EmbeddingMatrix(d, S))
-    save_embeddings(directory / "trg.vec", Lexicon(trg_words), EmbeddingMatrix(d, T))
-    with open(directory / "gold.tsv", "w", encoding="utf-8") as fh:
-        for j, w in enumerate(src_words):
-            fh.write(f"{w}\t{trg_words[inv[j]]}\n")
+    src_words, trg_words, inv = build(directory, n=40, d=8, n_seed=8, noise=0.0, rng_seed=42)
     return {
         "src": str(directory / "src.vec"),
         "trg": str(directory / "trg.vec"),

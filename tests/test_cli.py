@@ -187,6 +187,32 @@ def read_dictionary(path):
     return [tuple(line.split("\t")[:2]) for line in path.read_text().splitlines()]
 
 
+# main() once per trailing "quiet" or "plain" word, each call's stderr ended by "end"
+MAIN_IN_TURN = """import sys
+from lexmatch.cli import main
+cut = sys.argv.index("--")
+for word in sys.argv[cut + 1:]:
+    main(sys.argv[1:cut] + (["--quiet"] if word == "quiet" else []))
+    print("end", file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("order", [("quiet", "plain"), ("plain", "quiet")],
+                         ids=["quiet-then-plain", "plain-then-quiet"])
+def test_quiet_decides_each_call_in_one_process(planted, tmp_path, order):
+    """A --quiet run logs no iteration line, and a plain one logs them, in either order."""
+    argv = ["induce", "--src-emb", planted["src"], "--trg-emb", planted["trg"],
+            "--seed", "numerals", "--out-dict", str(tmp_path / "dict.tsv")]
+    src = os.path.dirname(os.path.dirname(lexmatch.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", MAIN_IN_TURN, *argv, "--", *order],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    logs = out.stderr.split("end\n")
+    assert logs[-1] == ""
+    assert [("iter=" in log) for log in logs[:-1]] == [word == "plain" for word in order]
+
+
 def test_two_to_two_prior_gives_second_partners(tmp_path):
     """On clustered words, --prior 2:2 writes a dictionary other than 1:1's,
     in which some source and some target take two partners and none more."""

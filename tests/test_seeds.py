@@ -1,6 +1,9 @@
+import re
+
 import pytest
 
 from lexmatch.embeddings import Lexicon
+from lexmatch.evaluation import load_eval_dictionary, load_wordsim_tsv
 from lexmatch.seeds import seed_from_tsv, seed_identical, seed_numerals
 
 
@@ -46,6 +49,40 @@ class TestSeedFromTsv:
     def test_zero_coverage_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no in-vocabulary"):
             seed_from_tsv(tsv(tmp_path, "foo\tbar\n"), self.src, self.trg)
+
+
+READERS = {
+    "seed": lambda path: seed_from_tsv(
+        path, Lexicon(["uno", "dos"]), Lexicon(["one", "two"])
+    ).pairs,
+    "gold": load_eval_dictionary,
+    "wordsim": load_wordsim_tsv,
+}
+
+
+@pytest.mark.parametrize("reader, text, expected", [
+    # CRLF line endings and blank lines, inside the file and at its end
+    ("seed", "uno\tone\r\n\r\ndos\ttwo\r\n\r\n", [(0, 0), (1, 1)]),
+    ("gold", "uno\tone\r\n\r\ndos\ttwo\r\n\r\n", {"uno": {"one"}, "dos": {"two"}}),
+    ("wordsim", "uno\tone\t1.5\r\n\r\ndos\ttwo\t2\r\n\r\n",
+     [("uno", "one", 1.5), ("dos", "two", 2.0)]),
+    # a wrong field count names the 1-based line, blank lines included
+    ("seed", "uno\tone\r\n\r\ndos two\r\n", "line 3: expected 'src<TAB>trg', got 'dos two'"),
+    ("gold", "uno\tone\n\nuno\tone\tdos\n",
+     "line 3: expected 'src<TAB>trg', got 'uno\\tone\\tdos'"),
+    ("wordsim", "uno\tone\t1\n\ndos\ttwo\r\n",
+     "line 3: expected 'src<TAB>trg<TAB>score', got 'dos\\ttwo'"),
+    ("wordsim", "uno\tone\t1\n\ndos\ttwo\thigh\n", "line 3: unparseable score 'high'"),
+], ids=["seed-crlf-blank", "gold-crlf-blank", "wordsim-crlf-blank", "seed-fields",
+        "gold-fields", "wordsim-fields", "wordsim-score"])
+def test_tsv_line_rules(tmp_path, reader, text, expected):
+    """The three TSV readers share one set of line rules and messages."""
+    path = tsv(tmp_path, text)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            READERS[reader](path)
+    else:
+        assert READERS[reader](path) == expected
 
 
 class TestSeedNumerals:
