@@ -27,7 +27,6 @@ from lexmatch.em import (
 )
 from lexmatch.seeds import SeedDictionary, seed_from_tsv, seed_identical, seed_numerals
 from lexmatch.evaluation import (
-    HubnessReport,
     hubness,
     load_eval_dictionary,
     precision_at_1,

@@ -89,16 +89,24 @@ class CandidateGraph:
             raise ValueError(f"duplicate edge (target {t}, source {r})")
 
 
-def edge_weight(t: np.ndarray, s: np.ndarray, params: "ModelParams") -> float:
-    """Score one (target, source) pair: -1/2 (||t - Omega s||^2 - ||t - mu||^2).
+def edge_weight(t: np.ndarray, s: np.ndarray, params: "ModelParams") -> float | np.ndarray:
+    """Score (target, source) pairs: -1/2 (||t - Omega s||^2 - ||t - mu||^2).
 
-    For unit vectors and mu = 0 this reduces to cos(t, Omega s) - 1/2.
+    t and s are one (d,) pair, scored as a float, or (d, m) columns of m
+    pairs, scored as an (m,) array.  For unit vectors and mu = 0 this
+    reduces to cos(t, Omega s) - 1/2.
     """
-    t = np.asarray(t, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    diff = t - params.omega @ s
-    back = t - params.mu
-    return float(-0.5 * (diff @ diff - back @ back))
+    # one unit-stride row per pair, so the stacked matrix-vector and dot
+    # products give every pair the bits of the same pair scored alone
+    trg, src = (
+        np.ascontiguousarray(np.atleast_2d(np.asarray(v, dtype=np.float64).T))
+        for v in (t, s)
+    )
+    diff = trg - np.matmul(params.omega, src[:, :, None])[:, :, 0]
+    back = trg - params.mu
+    dd, bb = (np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0] for v in (diff, back))
+    w = -0.5 * (dd - bb)
+    return float(w[0]) if np.ndim(t) == 1 else w
 
 
 def _select_rows(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,8 @@ import logging
 import sys
 import time
 
+import numpy as np
+
 from lexmatch.em import (
     EmConfig,
     PRIOR_ONE_TO_MANY,
@@ -272,9 +274,11 @@ def cmd_hubness(args) -> int:
     queries = sorted(lex_src.id(w) for w in gold if w in lex_src)
     if not queries:
         raise ValueError("no in-vocabulary query words in the dictionary file")
-    report = hubness(params, S, T, queries, args.k)
+    counts = hubness(params, S, T, queries, args.k)
+    # descending count, then lower target id
+    order = np.lexsort((np.arange(counts.size), -counts))
     lines = [
-        f"{lex_trg.word(i)}\t{count}\n" for i, count in report.sorted_entries()
+        f"{lex_trg.word(i)}\t{c}\n" for i, c in zip(order.tolist(), counts[order].tolist())
     ]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

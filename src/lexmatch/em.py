@@ -30,6 +30,7 @@ from lexmatch.assignment import Matching, solve_sparse_lap
 from lexmatch.candidates import (
     CandidateGraph,
     build_candidates,
+    edge_weight,
     score_top_k,
     weight_terms,
 )
@@ -270,27 +271,20 @@ def _pin_seed_pairs(
     their E-step weight; under the matching priors kept pairs are rescored
     to edge_weight's bits, as the seed pairs always are.
     """
-    def scored(trg: np.ndarray, src: np.ndarray) -> np.ndarray:
-        # edge_weight of each pair bit for bit: the same matrix-vector and
-        # dot products, stacked over unit-stride rows
-        t = np.ascontiguousarray(T.data[:, trg].T)
-        s = np.ascontiguousarray(S.data[:, src].T)
-        diff = t - np.matmul(params.omega, s[:, :, None])[:, :, 0]
-        back = t - params.mu
-        dd, bb = (np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0] for v in (diff, back))
-        return -0.5 * (dd - bb)
-
     keep = ~np.isin(m.trg, seed.trg)
     if not one_to_many:
         keep &= ~np.isin(m.src, seed.src)
     trg, src = m.trg[keep], m.src[keep]
-    weight = m.weight[keep] if one_to_many else scored(trg, src)
+    if one_to_many:
+        weight = m.weight[keep]
+    else:
+        weight = edge_weight(T.data[:, trg], S.data[:, src], params)
     return Matching(
         m.n_trg,
         m.n_src,
         np.concatenate([trg, seed.trg]),
         np.concatenate([src, seed.src]),
-        np.concatenate([weight, scored(seed.trg, seed.src)]),
+        np.concatenate([weight, edge_weight(T.data[:, seed.trg], S.data[:, seed.src], params)]),
     )
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from lexmatch.candidates import score_top_k
@@ -23,13 +21,16 @@ def load_eval_dictionary(path: str) -> dict[str, set[str]]:
 
 
 def load_wordsim_tsv(path: str) -> list[tuple[str, str, float]]:
-    """Word-similarity triples "src<TAB>trg<TAB>score"."""
+    """Word-similarity triples "src<TAB>trg<TAB>score"; every score is finite."""
     triples: list[tuple[str, str, float]] = []
     for lineno, (src, trg, score) in tsv_fields(path, "src<TAB>trg<TAB>score"):
         try:
-            triples.append((src, trg, float(score)))
+            value = float(score)
         except ValueError:
             raise ValueError(f"line {lineno}: unparseable score {score!r}") from None
+        if not np.isfinite(value):
+            raise ValueError(f"line {lineno}: non-finite score {score!r}")
+        triples.append((src, trg, value))
     if not triples:
         raise ValueError(f"empty word-similarity file {path}")
     return triples
@@ -68,8 +69,6 @@ def translate_batch(
 ) -> np.ndarray:
     """Cosine-nearest target id per source id; ties go to the lower target id."""
     idx = _source_ids(S, src_indices)
-    if idx.size == 0:
-        return np.zeros(0, dtype=np.int64)
     return _top_cosines(params, S, T, idx, 1)[0][:, 0]
 
 
@@ -166,34 +165,19 @@ def word_similarity(
     return float(rho), len(golds) / len(triples)
 
 
-@dataclass
-class HubnessReport:
-    """Neighborhood occupancy counts N_k(y) per target id y.
-
-    counts[y] is the number of queries having y among their k nearest
-    targets by cosine; the counts sum to k times the number of queries
-    whenever k <= n_trg.
-    """
-
-    counts: np.ndarray
-
-    def sorted_entries(self) -> list[tuple[int, int]]:
-        """(target id, count) sorted by descending count, then lower id."""
-        order = np.lexsort((np.arange(self.counts.size), -self.counts))
-        return [(int(i), int(self.counts[i])) for i in order]
-
-
 def hubness(
     params: ModelParams,
     S: EmbeddingMatrix,
     T: EmbeddingMatrix,
     queries,
     k: int,
-) -> HubnessReport:
-    """Exact k-NN occupancy counts over a query set of source ids.
+) -> np.ndarray:
+    """Exact k-NN occupancy counts N_k(y) over a query set of source ids.
 
-    Neighbor sets use cosine in the mapped space with ties broken toward
-    the lower target id, the same rule as candidate construction.
+    Returns the (n_trg,) counts: counts[y] is the number of queries having
+    target y among their k nearest targets by cosine in the mapped space,
+    so the counts sum to k times the number of queries.  Ties go to the
+    lower target id, the same rule as candidate construction.
     """
     idx = _source_ids(S, queries)
     if idx.size == 0:
@@ -203,5 +187,4 @@ def hubness(
     if k > T.n_words:
         raise ValueError(f"k = {k} exceeds target vocabulary size {T.n_words}")
     nn_idx, _ = _top_cosines(params, S, T, idx, k)
-    counts = np.bincount(nn_idx.ravel(), minlength=T.n_words)
-    return HubnessReport(counts)
+    return np.bincount(nn_idx.ravel(), minlength=T.n_words)

@@ -6,6 +6,8 @@
   graphs.
 * run_em_reference: the hard-EM loop that recomputes every iteration, for
   lexmatch.em.run_em, which reuses the results of unchanged parameters.
+* edge_weight_reference: one pair's edge weight from scalar products, for
+  lexmatch.candidates.edge_weight, which scores pairs stacked.
 """
 
 import logging
@@ -32,6 +34,15 @@ from lexmatch.em import (
 )
 
 logger = logging.getLogger(__name__)
+
+
+def edge_weight_reference(t: np.ndarray, s: np.ndarray, params: ModelParams) -> float:
+    """-1/2 (||t - Omega s||^2 - ||t - mu||^2) of one (d,) target and source."""
+    t = np.asarray(t, dtype=np.float64)
+    s = np.asarray(s, dtype=np.float64)
+    diff = t - params.omega @ s
+    back = t - params.mu
+    return float(-0.5 * (diff @ diff - back @ back))
 
 
 def hungarian_dense(weights: np.ndarray) -> Matching:

@@ -13,6 +13,7 @@ from conftest import (
 )
 from lexmatch.candidates import build_candidates, edge_weight
 from lexmatch.em import ModelParams
+from oracles import edge_weight_reference
 
 IDENT2 = ModelParams(np.eye(2), np.zeros(2))
 
@@ -22,7 +23,7 @@ def naive_topk(S, T, params, k):
     out = []
     for j in range(S.data.shape[1]):
         scored = [
-            (i, edge_weight(T.data[:, i], S.data[:, j], params))
+            (i, edge_weight_reference(T.data[:, i], S.data[:, j], params))
             for i in range(T.data.shape[1])
         ]
         scored.sort(key=lambda e: (-e[1], e[0]))
@@ -62,6 +63,28 @@ class TestEdgeWeight:
         s = unit_columns(rng.standard_normal((d, 1)))[:, 0]
         cos = float(t @ (omega @ s))
         assert edge_weight(t, s, params) == pytest.approx(cos - 0.5, abs=1e-9)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=0, max_value=12),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_columns_score_as_single_pairs(self, d, m, zero_mu, seed):
+        """(d, m) columns give an (m,) array whose every weight is that of the
+        pair alone, bit for bit, and a single (d,) pair gives a float."""
+        rng = np.random.default_rng(seed)
+        mu = np.zeros(d) if zero_mu else rng.standard_normal(d)
+        params = ModelParams(random_orthogonal(d, rng), mu)
+        t, s = rng.standard_normal((d, m)), rng.standard_normal((d, m))
+        got = edge_weight(t, s, params)
+        want = [edge_weight_reference(t[:, c], s[:, c], params) for c in range(m)]
+        assert got.shape == (m,)
+        assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+        if m:
+            one = edge_weight(t[:, 0], s[:, 0], params)
+            assert type(one) is float and one == want[0]
 
 
 class TestBuildCandidates:

@@ -6,6 +6,7 @@ import platform
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,6 +176,28 @@ class TestInduce:
         assert rc == 1
         assert "error: line 3: expected 2 values" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: empty file, expected 'n d' header"),
+        ("a b\n", "line 1: malformed header 'a b', expected two integers"),
+        ("-1 5\n", "line 1: invalid header counts n=-1 d=5"),
+        ("1 9\n1990" + " 1" * 9 + "\n", "dimension mismatch: source 9, target 8"),
+    ], ids=["empty", "non-integer", "negative", "9-d"])
+    def test_bad_source_file_fails(self, planted, tmp_path, capsys, text, message):
+        """A source file that cannot be read, or that does not match the 8-d
+        target file, fails with one error line."""
+        bad = tmp_path / "bad.vec"
+        bad.write_text(text)
+        rc = main([
+            "induce",
+            "--src-emb", str(bad),
+            "--trg-emb", planted["trg"],
+            "--seed", "numerals",
+            "--out-dict", str(tmp_path / "d.tsv"),
+            "--quiet",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 @pytest.fixture(scope="module")
 def model(planted, tmp_path_factory):
@@ -304,6 +327,39 @@ def test_all_zero_source_fails_every_evaluation_command(planted, model, tmp_path
         assert "all 40 vectors are zero" in capsys.readouterr().err
 
 
+def one_nan(a):
+    a = a.copy()
+    a[0, 0] = np.nan
+    return a
+
+
+@pytest.mark.parametrize("key, change, message", [
+    ("omega", one_nan, "non-finite model parameters"),
+    ("mu", lambda a: a[:3], "model arrays inconsistent with dim 8: (8, 8), (3,)"),
+    ("normalization", lambda a: np.array("l2"), "model declares unknown normalization 'l2'"),
+    ("trg_words", lambda a: a.astype(np.int16),
+     "model's stored target side: words must be a uint8 array, got int16 (165,)"),
+    ("trg_vectors", lambda a: a.astype(np.float32),
+     "model's stored target side: vectors must be float64 with shape (8, n), "
+     "got float32 (8, 40)"),
+], ids=["omega-nan", "mu-shape", "normalization", "trg-words-dtype", "trg-vectors-dtype"])
+def test_inconsistent_model_fails_evaluate(planted, model, tmp_path, capsys, key, change, message):
+    """A model file with one array changed fails with one error line naming it."""
+    with np.load(model) as data:
+        arrays = dict(data)
+    arrays[key] = change(arrays[key])
+    np.savez(tmp_path / "bad.npz", **arrays)
+    rc = main([
+        "evaluate",
+        "--model", str(tmp_path / "bad.npz"),
+        "--src-emb", planted["src"],
+        "--trg-emb", planted["trg"],
+        "--eval-dict", planted["gold"],
+    ])
+    assert rc == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 class TestEvaluate:
     def test_perfect_model_scores_one(self, planted, model, capsys):
         """The recovered model translates every gold entry correctly."""
@@ -381,6 +437,36 @@ class TestEvaluate:
             assert main(argv) == 0
             assert strict_json(capsys.readouterr().out) == {"coverage": 1.0, "spearman": 1.0}
 
+    def wordsim_args(self, planted, model, path):
+        return [
+            "evaluate",
+            "--model", model,
+            "--src-emb", planted["src"],
+            "--trg-emb", planted["trg"],
+            "--wordsim", str(path),
+        ]
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_wordsim_non_finite_score_fails(self, planted, model, tmp_path, capsys, score,
+                                            as_json):
+        """A nan or infinite gold score is rejected with its line number, in
+        place of a NaN correlation or an infinity ranked as the largest score."""
+        lines = Path(planted["gold"]).read_text().splitlines()[:6]
+        gold = [line.split("\t") for line in lines]
+        scores = ["1", "2", score, "4", "5", "6"]
+        ws = tmp_path / "ws.tsv"
+        ws.write_text("".join(f"{s}\t{t}\t{v}\n" for (s, t), v in zip(gold, scores)))
+        argv = self.wordsim_args(planted, model, ws) + (["--json"] if as_json else [])
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: line 3: non-finite score {score!r}\n")
+
+    def test_empty_wordsim_file_fails(self, planted, model, tmp_path, capsys):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("")
+        assert main(self.wordsim_args(planted, model, empty)) == 1
+        assert capsys.readouterr() == ("", f"error: empty word-similarity file {empty}\n")
+
     def test_empty_eval_dict_fails(self, planted, model, tmp_path, capsys):
         empty = tmp_path / "empty.tsv"
         empty.write_text("")
@@ -442,6 +528,21 @@ class TestHubness:
             for line in (tmp_path / "h.tsv").read_text().splitlines()
         ]
         assert sum(counts) == 2 * 3
+
+    def test_ties_and_zeros_listed_by_lower_id(self, tmp_path):
+        """Equal counts, zero counts included, come in target id order, not
+        word order, after the higher counts."""
+        S = unit_columns(np.array([[0.1, 0.2, -0.1, 0.99, -0.99], [0.99, 0.98, 0.99, 0.1, 0.1]]))
+        T = np.array([[1.0, 0.0, -1.0, 0.0, -1.0], [0.0, 1.0, 0.0, -1.0, -1.0]])
+        words = ["q0", "q1", "q2", "q3", "q4"]
+        save_embeddings(tmp_path / "s.vec", Lexicon(words), EmbeddingMatrix(2, S))
+        save_embeddings(tmp_path / "t.vec", Lexicon(["c", "b", "a", "z", "y"]),
+                        EmbeddingMatrix(2, unit_columns(T)))
+        save_model(str(tmp_path / "m.npz"), Model(ModelParams(np.eye(2), np.zeros(2)), NORM_UNIT))
+        (tmp_path / "queries.tsv").write_text("".join(f"{w}\tx\n" for w in words))
+        rc = main(self.base_args(tmp_path) + ["--k", "1", "--out", str(tmp_path / "h.tsv")])
+        assert rc == 0
+        assert (tmp_path / "h.tsv").read_text() == "b\t3\nc\t1\na\t1\nz\t0\ny\t0\n"
 
     def test_k_exceeding_targets_fails(self, hub_dir, capsys):
         rc = main(self.base_args(hub_dir) + ["--k", "5"])

@@ -20,7 +20,6 @@ from conftest import (
     unit_columns,
 )
 from lexmatch.assignment import Matching, solve_sparse_lap
-from lexmatch.candidates import edge_weight
 from lexmatch.em import (
     PRIOR_CAPS,
     PRIOR_ONE_TO_MANY,
@@ -45,7 +44,7 @@ from lexmatch.em import (
 )
 from lexmatch.embeddings import NORM_UNIT, NORM_UNIT_CENTER_UNIT, EmbeddingMatrix, Lexicon
 from lexmatch.seeds import PROVENANCE_TSV, SeedDictionary
-from oracles import brute_force_matching, run_em_reference
+from oracles import brute_force_matching, edge_weight_reference, run_em_reference
 
 
 def seed_of(pairs):
@@ -502,7 +501,7 @@ class TestPinnedRescoring:
     )
     def test_weights_are_edge_weight_bit_for_bit(self, d, ties, seed):
         """Under a matching prior every weight of a pinned result, kept pair
-        or seed pair, is edge_weight of that pair to the last bit, on
+        or seed pair, is the scalar edge weight of that pair to the last bit, on
         Gaussian vectors or on small integers, which tie often."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 12))
@@ -525,7 +524,7 @@ class TestPinnedRescoring:
             np.zeros(n_seed),
         )
         got = _pin_seed_pairs(m, pinned, False, S, T, params)
-        want = [edge_weight(T.data[:, i], S.data[:, j], params) for i, j in pairs(got)]
+        want = [edge_weight_reference(T.data[:, i], S.data[:, j], params) for i, j in pairs(got)]
         assert got.weight.tobytes() == np.array(want, dtype=np.float64).tobytes()
 
 

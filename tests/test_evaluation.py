@@ -69,6 +69,11 @@ class TestTranslate:
         top1 = translate_batch(IDENT2, S, T, [0])
         assert top1.tolist() == [0]
 
+    def test_no_sources_give_empty_ids(self):
+        S = EmbeddingMatrix(2, np.eye(2))
+        top1 = translate_batch(IDENT2, S, S, [])
+        assert top1.dtype == np.int64 and top1.shape == (0,)
+
     def test_topn_ordering(self):
         """Neighbors come back by descending cosine, ties to lower ids."""
         S = EmbeddingMatrix(2, np.array([[1.0], [0.0]]))
@@ -173,17 +178,16 @@ class TestHubness:
         """Three queries all nearest the same target: N_1 = (3, 0)."""
         S = EmbeddingMatrix(2, unit_columns(np.array([[0.99, 0.98, 0.97], [0.1, 0.2, 0.24]])))
         T = EmbeddingMatrix(2, np.eye(2))
-        report = hubness(IDENT2, S, EmbeddingMatrix(2, T.data), [0, 1, 2], k=1)
-        assert report.counts.tolist() == [3, 0]
-        assert int(report.counts.max()) == 3
-        assert report.sorted_entries() == [(0, 3), (1, 0)]
+        counts = hubness(IDENT2, S, EmbeddingMatrix(2, T.data), [0, 1, 2], k=1)
+        assert counts.tolist() == [3, 0]
+        assert int(counts.max()) == 3
 
     def test_isolated_target_counts_zero(self):
         """A target in nobody's neighborhood reports zero occupancy."""
         S = EmbeddingMatrix(2, np.array([[1.0], [0.0]]))
         T = angled_targets([0.9, 0.5, -0.4])
-        report = hubness(IDENT2, S, T, [0], k=2)
-        assert report.counts.tolist() == [1, 1, 0]
+        counts = hubness(IDENT2, S, T, [0], k=2)
+        assert counts.tolist() == [1, 1, 0]
 
     def test_k_bounds_checked(self):
         S = EmbeddingMatrix(2, np.eye(2))
@@ -208,5 +212,5 @@ class TestHubness:
         T = random_unit_matrix(d, n_trg, rng)
         params = ModelParams(random_orthogonal(d, rng), np.zeros(d))
         queries = list(range(n_src))
-        report = hubness(params, S, T, queries, k=k)
-        assert int(report.counts.sum()) == k * n_src
+        counts = hubness(params, S, T, queries, k=k)
+        assert int(counts.sum()) == k * n_src

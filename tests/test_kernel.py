@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 
 from conftest import edges_of
 from lexmatch import candidates
-from lexmatch.candidates import build_candidates, edge_weight
+from lexmatch.candidates import build_candidates
 from lexmatch.em import EmConfig, ModelParams, e_step_one_to_many, PRIOR_ONE_TO_MANY
 from lexmatch.embeddings import EmbeddingMatrix
 from lexmatch.evaluation import hubness, topn_neighbors, translate_batch
+from oracles import edge_weight_reference
 
 D = 4
 POOL = np.array(
@@ -67,7 +68,10 @@ def ranked(scores, k):
 def weight_matrix(S, T, params, ns, nt):
     """(sources, targets) scalar edge weights over the restricted prefixes."""
     return np.array(
-        [[edge_weight(T.data[:, i], S.data[:, j], params) for i in range(nt)] for j in range(ns)]
+        [
+            [edge_weight_reference(T.data[:, i], S.data[:, j], params) for i in range(nt)]
+            for j in range(ns)
+        ]
     ).reshape(ns, nt)
 
 
@@ -139,7 +143,7 @@ class TestKernelCallers:
         with small_blocks(block, data):
             top1 = translate_batch(params, S, T, ids)
             near = topn_neighbors(params, S, T, ids, k)
-            report = hubness(params, S, T, ids, min(k, T.n_words))
+            counts = hubness(params, S, T, ids, min(k, T.n_words))
         assert top1.tolist() == [int(r[0]) for r in ranked(cos, 1)]
         assert near == [
             [(int(i), float(row[i])) for i in order] for row, order in zip(cos, ranked(cos, k))
@@ -147,7 +151,7 @@ class TestKernelCallers:
         hub = np.bincount(
             np.concatenate(ranked(cos, min(k, T.n_words))), minlength=T.n_words
         )
-        assert report.counts.tolist() == hub.tolist()
+        assert counts.tolist() == hub.tolist()
 
 
 def score_top_k_with(Q, C, k, offsets, threads, block, select):

@@ -170,7 +170,7 @@ class TestTrainedSpace:
         assert json.loads(results["evaluate"][1]) == {"p_at_1": p1, "coverage": coverage}
 
         ids = sorted(lex_s.id(w) for w in gold)
-        counts = hubness(params, S, T, ids, 1).counts
+        counts = hubness(params, S, T, ids, 1)
         printed = dict(line.split("\t") for line in results["hubness"][1].splitlines())
         assert {w: int(c) for w, c in printed.items() if w in lex_t} == {
             lex_t.word(i): int(c) for i, c in enumerate(counts)
@@ -199,7 +199,7 @@ def full_parse_outputs(model, src, trg, d, words, topn=1, k=1):
                               center=loaded.trg_center)
     gold = load_eval_dictionary(str(d / "gold.tsv"))
     p1, coverage = precision_at_1(params, S, T, gold, lex_s, lex_t)
-    report = hubness(params, S, T, sorted(lex_s.id(w) for w in gold if w in lex_s), k)
+    counts = hubness(params, S, T, sorted(lex_s.id(w) for w in gold if w in lex_s), k).tolist()
     known = [lex_s.id(w) for w in words if w in lex_s]
     neighbors = iter(topn_neighbors(params, S, T, known, topn))
     query = ""
@@ -210,7 +210,10 @@ def full_parse_outputs(model, src, trg, d, words, topn=1, k=1):
         query += "".join(f"{w}\t{lex_t.word(i)}\t{c:.6f}\n" for i, c in next(neighbors))
     return {
         "evaluate": json.dumps({"p_at_1": p1, "coverage": coverage}, sort_keys=True) + "\n",
-        "hubness": "".join(f"{lex_t.word(i)}\t{c}\n" for i, c in report.sorted_entries()),
+        "hubness": "".join(
+            f"{lex_t.word(i)}\t{counts[i]}\n"
+            for i in sorted(range(len(counts)), key=lambda i: (-counts[i], i))
+        ),
         "query": query,
     }
 
