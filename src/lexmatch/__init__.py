@@ -16,8 +16,7 @@ from lexmatch.em import (
     Model,
     ModelParams,
     TrainedSide,
-    centroid,
-    e_step_matching,
+    e_step,
     e_step_one_to_many,
     load_model,
     m_step,

@@ -67,11 +67,6 @@ class Matching:
                 if over.size:
                     raise ValueError(f"{side} {over[0]} exceeds degree cap {cap}")
 
-    def unmatched_targets(self) -> np.ndarray:
-        mask = np.ones(self.n_trg, dtype=bool)
-        mask[self.trg] = False
-        return np.flatnonzero(mask)
-
 
 def solve_sparse_lap(g: CandidateGraph, trg_cap: int = 1, src_cap: int = 1) -> Matching:
     """Maximum-weight pair set on a sparse candidate graph under degree caps.

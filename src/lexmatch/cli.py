@@ -275,8 +275,8 @@ def cmd_hubness(args) -> int:
     if not queries:
         raise ValueError("no in-vocabulary query words in the dictionary file")
     counts = hubness(params, S, T, queries, args.k)
-    # descending count, then lower target id
-    order = np.lexsort((np.arange(counts.size), -counts))
+    # descending count; the stable sort keeps equal counts in target id order
+    order = np.argsort(-counts, kind="stable")
     lines = [
         f"{lex_trg.word(i)}\t{c}\n" for i, c in zip(order.tolist(), counts[order].tolist())
     ]

@@ -164,16 +164,6 @@ def procrustes(S_m: np.ndarray, T_m: np.ndarray) -> np.ndarray:
     return u @ vt
 
 
-def centroid(T: EmbeddingMatrix, u_trg, prev_mu: np.ndarray) -> np.ndarray:
-    """Mean of the target columns in u_trg; empty u_trg keeps prev_mu."""
-    idx = np.asarray(list(u_trg) if not isinstance(u_trg, np.ndarray) else u_trg, dtype=np.int64)
-    if idx.size == 0:
-        return np.array(prev_mu, dtype=np.float64)
-    if idx.min() < 0 or idx.max() >= T.n_words:
-        raise IndexError(f"target index out of range [0, {T.n_words})")
-    return T.data[:, idx].mean(axis=1)
-
-
 # only the 1:2 reference for solve_sparse_lap's slots; kept since perfbench's tracer wraps it by name
 def duplicate_and_merge(
     g: CandidateGraph,
@@ -192,16 +182,6 @@ def duplicate_and_merge(
         np.tile(g.weights, 2),
     )
     return expanded, lambda m: Matching(g.n_trg, g.n_src, m.trg, m.src % g.n_src, m.weight)
-
-
-def e_step_matching(
-    S: EmbeddingMatrix, T: EmbeddingMatrix, params: ModelParams, config: EmConfig
-) -> Matching:
-    """Best pair set under current params within the prior's degree caps."""
-    g = build_candidates(
-        S, T, params, config.k, restrict=config.rank_restrict, threads=config.threads
-    )
-    return solve_sparse_lap(g, *PRIOR_CAPS[config.prior])
 
 
 def e_step_one_to_many(
@@ -237,8 +217,10 @@ def m_step(
     if not len(matching):
         raise EmCollapseError("M-step received an empty pair set; training collapsed")
     omega = procrustes(S.data[:, matching.src], T.data[:, matching.trg])
-    if update_mu:
-        mu = centroid(T, matching.unmatched_targets(), prev.mu)
+    unmatched = np.ones(T.n_words, dtype=bool)
+    unmatched[matching.trg] = False
+    if update_mu and unmatched.any():
+        mu = T.data[:, np.flatnonzero(unmatched)].mean(axis=1)
     else:
         mu = np.array(prev.mu, dtype=np.float64)
     params = ModelParams(omega, mu)
@@ -288,6 +270,33 @@ def _pin_seed_pairs(
     )
 
 
+def e_step(
+    S: EmbeddingMatrix,
+    T: EmbeddingMatrix,
+    params: ModelParams,
+    config: EmConfig,
+    pinned: Matching | None = None,
+) -> Matching:
+    """Best pair set under params within config.prior's PRIOR_CAPS.
+
+    An uncapped source side is e_step_one_to_many; capped sides are one
+    solver call on the candidate graph.  pinned pairs, if given, are forced
+    in by _pin_seed_pairs and the result is checked against the caps.
+    """
+    trg_cap, src_cap = PRIOR_CAPS[config.prior]
+    if src_cap is None:
+        m = e_step_one_to_many(S, T, params, config)
+    else:
+        g = build_candidates(
+            S, T, params, config.k, restrict=config.rank_restrict, threads=config.threads
+        )
+        m = solve_sparse_lap(g, trg_cap, src_cap)
+    if pinned is not None:
+        m = _pin_seed_pairs(m, pinned, src_cap is None, S, T, params)
+        m.assert_degrees(trg_cap, src_cap)
+    return m
+
+
 def run_em(
     S: EmbeddingMatrix,
     T: EmbeddingMatrix,
@@ -327,13 +336,12 @@ def run_em(
 
     src_idx = np.array([j for j, _ in seed.pairs], dtype=np.int64)
     trg_idx = np.array([i for _, i in seed.pairs], dtype=np.int64)
-    caps = PRIOR_CAPS[config.prior]
     pinned = None
     if config.pin_seed:
         # weights are scored under the current params at each pinning
         pinned = Matching(T.n_words, S.n_words, trg_idx, src_idx, np.zeros(trg_idx.size))
         try:
-            pinned.assert_degrees(*caps)
+            pinned.assert_degrees(*PRIOR_CAPS[config.prior])
         except ValueError as exc:
             raise ValueError(f"seed cannot be pinned under {config.prior}: {exc}") from None
     params = ModelParams(
@@ -343,7 +351,6 @@ def run_em(
     params.validate()
 
     trace = EmTrace()
-    one_to_many = config.prior == PRIOR_ONE_TO_MANY
     assignment = Matching(T.n_words, S.n_words, [], [], [])
     prev_cos: float | None = None
     previous: Matching | None = None  # the pairs of the iteration before
@@ -351,13 +358,7 @@ def run_em(
 
     for it in range(1, config.max_iters + 1):
         if changed:
-            if one_to_many:
-                assignment = e_step_one_to_many(S, T, params, config)
-            else:
-                assignment = e_step_matching(S, T, params, config)
-            if pinned is not None:
-                assignment = _pin_seed_pairs(assignment, pinned, one_to_many, S, T, params)
-                assignment.assert_degrees(*caps)
+            assignment = e_step(S, T, params, config, pinned)
             if not len(assignment):
                 raise EmCollapseError(f"E-step produced an empty matching at iteration {it}")
             mean_cos = _mean_cosine(S, T, params, assignment)

@@ -43,10 +43,10 @@ def tsv_fields(path: str, shape: str) -> Iterator[tuple[int, list[str]]]:
 
     shape spells the line, e.g. "src<TAB>trg"; a line with another number of
     tab-separated fields raises ValueError naming it.  A CRLF line end reads
-    as LF.
+    as LF, and a leading byte-order mark is dropped.
     """
     n_fields = shape.count("<TAB>") + 1
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\r\n")
             if not line:

@@ -19,16 +19,12 @@ from scipy.optimize import linear_sum_assignment
 from conftest import graph_edges
 from lexmatch.assignment import Matching
 from lexmatch.em import (
-    PRIOR_CAPS,
-    PRIOR_ONE_TO_MANY,
     EmCollapseError,
     EmIteration,
     EmTrace,
     ModelParams,
     _mean_cosine,
-    _pin_seed_pairs,
-    e_step_matching,
-    e_step_one_to_many,
+    e_step,
     m_step,
     procrustes,
 )
@@ -98,33 +94,24 @@ def brute_force_matching(g, trg_cap: int = 1, src_cap: int = 1) -> Matching:
 
 
 def run_em_reference(S, T, seed, config):
-    """run_em's loop with the E-step, the pinning, the mean cosine and the
-    M-step run on every iteration; it logs run_em's per-iteration lines."""
+    """run_em's loop with the E-step, the mean cosine and the M-step run on
+    every iteration; it logs run_em's per-iteration lines."""
     src_idx = np.array([j for j, _ in seed.pairs], dtype=np.int64)
     trg_idx = np.array([i for _, i in seed.pairs], dtype=np.int64)
-    caps = PRIOR_CAPS[config.prior]
     pinned = None
     if config.pin_seed:
         pinned = Matching(T.n_words, S.n_words, trg_idx, src_idx, np.zeros(trg_idx.size))
-        pinned.assert_degrees(*caps)
     params = ModelParams(
         procrustes(S.data[:, src_idx], T.data[:, trg_idx]),
         np.zeros(S.dim, dtype=np.float64),
     )
 
     trace = EmTrace()
-    one_to_many = config.prior == PRIOR_ONE_TO_MANY
     assignment = Matching(T.n_words, S.n_words, [], [], [])
     prev_cos = None
 
     for it in range(1, config.max_iters + 1):
-        if one_to_many:
-            assignment = e_step_one_to_many(S, T, params, config)
-        else:
-            assignment = e_step_matching(S, T, params, config)
-        if pinned is not None:
-            assignment = _pin_seed_pairs(assignment, pinned, one_to_many, S, T, params)
-            assignment.assert_degrees(*caps)
+        assignment = e_step(S, T, params, config, pinned)
         if not len(assignment):
             raise EmCollapseError(f"E-step produced an empty matching at iteration {it}")
 

@@ -32,7 +32,7 @@ from lexmatch.em import (
     PRIOR_TWO_TO_TWO,
     EmConfig,
     ModelParams,
-    e_step_matching,
+    e_step,
     e_step_one_to_many,
     procrustes,
     run_em,
@@ -249,7 +249,7 @@ def test_criterion_08_mode_contrast(announce):
     )
     params = ModelParams(np.eye(2), np.zeros(2))
     a = e_step_one_to_many(S, T, params, EmConfig(k=2, prior=PRIOR_ONE_TO_MANY))
-    m = e_step_matching(S, T, params, EmConfig(k=2))
+    m = e_step(S, T, params, EmConfig(k=2))
     both_on_zero = a.src.tolist() == [0, 0]
     matched_on_zero = [i for i, j in pairs(m) if j == 0]
     announce(

@@ -32,9 +32,8 @@ from lexmatch.em import (
     ModelParams,
     TrainedSide,
     _pin_seed_pairs,
-    centroid,
     duplicate_and_merge,
-    e_step_matching,
+    e_step,
     e_step_one_to_many,
     load_model,
     m_step,
@@ -80,27 +79,40 @@ class TestProcrustes:
 
 
 class TestCentroid:
+    """m_step's mu: the mean of the targets its pairs leave unmatched."""
+
+    @staticmethod
+    def m_step_pairing(T, trg, prev_mu):
+        """m_step's params when targets trg pair with copies of themselves."""
+        S = EmbeddingMatrix(T.dim, T.data[:, trg])
+        m = Matching(T.n_words, len(trg), trg, range(len(trg)), np.ones(len(trg)))
+        return m_step(S, T, m, ModelParams(np.eye(T.dim), prev_mu))
+
     def test_single_point(self):
         T = EmbeddingMatrix(2, np.array([[1.0, 3.0], [2.0, 4.0]]))
-        np.testing.assert_array_equal(centroid(T, [1], np.zeros(2)), [3.0, 4.0])
+        params = self.m_step_pairing(T, [0], np.zeros(2))
+        np.testing.assert_array_equal(params.mu, [3.0, 4.0])
 
     def test_mean_of_two(self):
-        T = EmbeddingMatrix(2, np.array([[1.0, 0.0], [0.0, 1.0]]))
-        np.testing.assert_allclose(centroid(T, [0, 1], np.zeros(2)), [0.5, 0.5])
+        """The bits of the mean over the unmatched columns, in id order."""
+        T = random_unit_matrix(5, 7, np.random.default_rng(11))
+        params = self.m_step_pairing(T, [1, 3, 4, 5, 6], np.zeros(5))
+        assert params.mu.tobytes() == T.data[:, [0, 2]].mean(axis=1).tobytes()
 
     def test_empty_keeps_previous(self):
         """No unmatched targets leaves the reference point where it was."""
         T = EmbeddingMatrix(2, np.eye(2))
         prev = np.array([0.25, -0.5])
-        out = centroid(T, [], prev)
+        out = self.m_step_pairing(T, [0, 1], prev).mu
         np.testing.assert_array_equal(out, prev)
         out[0] = 99.0
         assert prev[0] == 0.25
 
     def test_out_of_range_rejected(self):
         T = EmbeddingMatrix(2, np.eye(2))
+        m = Matching(2, 1, [5], [0], [1.0])
         with pytest.raises(IndexError):
-            centroid(T, [5], np.zeros(2))
+            m_step(T, T, m, ModelParams(np.eye(2), np.zeros(2)))
 
 
 class TestEStepMatching:
@@ -109,7 +121,7 @@ class TestEStepMatching:
         S = EmbeddingMatrix(2, np.eye(2))
         T = EmbeddingMatrix(2, np.eye(2))
         params = ModelParams(np.eye(2), np.zeros(2))
-        m = e_step_matching(S, T, params, EmConfig(k=2))
+        m = e_step(S, T, params, EmConfig(k=2))
         assert pairs(m) == [(0, 0), (1, 1)]
         np.testing.assert_allclose(m.weight, [0.5, 0.5], atol=1e-12)
 
@@ -118,7 +130,7 @@ class TestEStepMatching:
         S = EmbeddingMatrix(2, np.array([[1.0], [0.0]]))
         T = EmbeddingMatrix(2, np.array([[0.0], [1.0]]))
         params = ModelParams(np.eye(2), np.zeros(2))
-        m = e_step_matching(S, T, params, EmConfig(k=1))
+        m = e_step(S, T, params, EmConfig(k=1))
         assert pairs(m) == []
 
     def test_matches_brute_force_total(self):
@@ -129,7 +141,7 @@ class TestEStepMatching:
             T = random_unit_matrix(4, 5, rng)
             params = ModelParams(random_orthogonal(4, rng), np.zeros(4))
             config = EmConfig(k=5)
-            m = e_step_matching(S, T, params, config)
+            m = e_step(S, T, params, config)
             from lexmatch.candidates import build_candidates
 
             g = build_candidates(S, T, params, k=5)
@@ -153,7 +165,7 @@ class TestEStepOneToMany:
         S = EmbeddingMatrix(2, np.array([[1.0], [0.0]]))
         T = EmbeddingMatrix(2, unit_columns(np.array([[0.3], [0.9539392014169456]])))
         a = e_step_one_to_many(S, T, self.params2(), EmConfig(k=1, prior=PRIOR_ONE_TO_MANY))
-        assert len(a) == 0 and a.unmatched_targets().tolist() == [0]
+        assert len(a) == 0
 
     def test_single_pair(self):
         S = EmbeddingMatrix(2, unit_columns(np.array([[0.8], [0.6]])))
@@ -168,7 +180,7 @@ class TestEStepOneToMany:
         t = unit_columns(np.array([[0.95, 0.9], [0.31224989991991992, 0.43588989435406733]]))
         T = EmbeddingMatrix(2, t)
         cfg = EmConfig(k=2)
-        m = e_step_matching(S, T, self.params2(), cfg)
+        m = e_step(S, T, self.params2(), cfg)
         srcs = [j for _, j in pairs(m)]
         assert len(srcs) == len(set(srcs))
 
@@ -410,23 +422,32 @@ class TestFixedPointReuse:
             return wrapper
 
         with (
-            mock.patch("lexmatch.em.e_step_matching", counting("e", e_step_matching)),
+            mock.patch("lexmatch.em.e_step", counting("e", e_step)),
             mock.patch("lexmatch.em.m_step", counting("m", m_step)),
         ):
             out = run_em(S, T, seed, config)
         return out, calls["e"], calls["m"]
 
+    @pytest.mark.parametrize("pin_seed", [False, True], ids=["free", "pinned"])
+    @pytest.mark.parametrize("prior, fixed_at", [
+        (PRIOR_ONE_TO_ONE, 2), (PRIOR_ONE_TO_TWO, 2), (PRIOR_TWO_TO_TWO, 3), (PRIOR_ONE_TO_MANY, 2),
+    ], ids=[PRIOR_ONE_TO_ONE, PRIOR_ONE_TO_TWO, PRIOR_TWO_TO_TWO, PRIOR_ONE_TO_MANY])
     @pytest.mark.parametrize("min_iters, max_iters", [(1, 500), (5, 5), (5, 8)])
-    def test_no_recomputation_after_the_fixed_point(self, min_iters, max_iters):
-        """Iteration 2 returns iteration 1's pairs here: one M-step and two
-        E-steps, however many iterations are recorded after them."""
+    def test_no_recomputation_after_the_fixed_point(
+        self, min_iters, max_iters, prior, fixed_at, pin_seed
+    ):
+        """Iteration fixed_at returns the pairs of the iteration before here:
+        fixed_at E-steps and one M-step fewer, however many iterations are
+        recorded after them."""
         inst = planted_instance(60, 8, 0.05, 10, np.random.default_rng(0))
-        config = EmConfig(k=3, min_iters=min_iters, max_iters=max_iters)
+        config = EmConfig(
+            k=3, min_iters=min_iters, max_iters=max_iters, prior=prior, pin_seed=pin_seed
+        )
         (_, _, trace), e_steps, m_steps = self.counted_run(
             inst["S"], inst["T"], inst["seed"], config
         )
-        assert len(trace) == max(3, min_iters) and trace.converged
-        assert (e_steps, m_steps) == (2, 1)
+        assert len(trace) == max(fixed_at + 1, min_iters) and trace.converged
+        assert (e_steps, m_steps) == (fixed_at, fixed_at - 1)
 
     def test_first_m_step_always_runs(self):
         """Iteration 1 returns exactly the seed pairs, but the seed fit set

@@ -85,6 +85,18 @@ def test_tsv_line_rules(tmp_path, reader, text, expected):
         assert READERS[reader](path) == expected
 
 
+
+@pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["no-bom", "bom"])
+@pytest.mark.parametrize("reader, text, expected", [
+    ("seed", "uno\tone\ndos\ttwo\n", [(0, 0), (1, 1)]),
+    ("gold", "uno\tone\ndos\ttwo\n", {"uno": {"one"}, "dos": {"two"}}),
+    ("wordsim", "uno\tone\t1.5\ndos\ttwo\t2\n", [("uno", "one", 1.5), ("dos", "two", 2.0)]),
+], ids=["seed", "gold", "wordsim"])
+def test_byte_order_mark_not_read_as_text(tmp_path, reader, text, expected, bom):
+    """A UTF-8 byte-order mark before the first line is not part of its
+    first word, so that line's entry is read like every other."""
+    assert READERS[reader](tsv(tmp_path, bom + text)) == expected
+
 class TestSeedNumerals:
     def test_shared_numeral_pairs(self):
         """An all-digit string in both vocabularies pairs with itself."""
