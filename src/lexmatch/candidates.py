@@ -153,16 +153,16 @@ def score_top_k(
     Q: np.ndarray,
     C: np.ndarray,
     k: int,
-    q_offset: np.ndarray | None = None,
     c_offset: np.ndarray | None = None,
     threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k columns of C for every column of Q under a dot-product score.
 
-    The score of candidate c for query q is Q[:, q] . C[:, c] + c_offset[c];
-    q_offset[q] is added to the selected values afterwards.  Returns (idx,
-    val) of shape (n_q, min(k, n_c)), each row by descending score with ties
-    broken toward the lower candidate id.
+    The score of candidate c for query q is Q[:, q] . C[:, c] + c_offset[c].
+    Returns (idx, val) of shape (n_q, min(k, n_c)): the selected candidates
+    and exactly their scores, each row by descending score with ties broken
+    toward the lower candidate id.  A per-query offset does not change a
+    row's ranking; callers add their own to val.
 
     Queries are scored in row-contiguous (queries, candidates) blocks of at
     most BLOCK_ELEMENTS scores, so the selection runs along the contiguous
@@ -196,11 +196,7 @@ def score_top_k(
             if c_offset is not None:
                 part += c_offset
             parts.append(_select_rows(part, kk))
-        idx = np.concatenate([p[0] for p in parts])
-        val = np.concatenate([p[1] for p in parts])
-        if q_offset is not None:
-            val = val + q_offset[lo:hi, None]
-        return idx, val
+        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
     if threads > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -267,9 +263,8 @@ def build_candidates(
     """
     mapped, Tsub, src_offset, trg_offset = weight_terms(S, T, params, restrict)
     ns = mapped.shape[1]
-    idx, w = score_top_k(
-        mapped, Tsub, k, q_offset=src_offset, c_offset=trg_offset, threads=threads
-    )
+    idx, val = score_top_k(mapped, Tsub, k, c_offset=trg_offset, threads=threads)
+    w = val + src_offset[:, None]
     keep = w >= 0.0
     indptr = np.zeros(S.n_words + 1, dtype=np.int64)
     np.cumsum(keep.sum(axis=1), out=indptr[1:ns + 1])

@@ -9,6 +9,7 @@ import functools
 import hashlib
 import json
 import logging
+import os
 import sys
 import time
 
@@ -346,8 +347,14 @@ def main(argv=None) -> int:
     quiet = getattr(args, "quiet", False)
     logging.getLogger("lexmatch").setLevel(logging.WARNING if quiet else logging.INFO)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        # write a buffered tail now, so that a closed pipe is reported here
+        sys.stdout.flush()
+        return rc
     except BrokenPipeError:
+        # the reader is gone: send what stdout still holds to the null device,
+        # or the flush at interpreter exit fails again and exits 120
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except Exception as exc:  # one-line diagnostic, nonzero exit
         print(f"error: {exc}", file=sys.stderr)

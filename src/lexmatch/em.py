@@ -193,11 +193,10 @@ def e_step_one_to_many(
     sources the candidates, k = 1, so ties go to the lower source id.
     """
     mapped, Tsub, src_offset, trg_offset = weight_terms(S, T, params, config.rank_restrict)
-    best, w = score_top_k(
-        Tsub, mapped, 1, q_offset=trg_offset, c_offset=src_offset, threads=config.threads
-    )
-    keep = np.flatnonzero(w[:, 0] >= 0.0)
-    return Matching(T.n_words, S.n_words, keep, best[keep, 0], w[keep, 0])
+    best, val = score_top_k(Tsub, mapped, 1, c_offset=src_offset, threads=config.threads)
+    w = val[:, 0] + trg_offset
+    keep = np.flatnonzero(w >= 0.0)
+    return Matching(T.n_words, S.n_words, keep, best[keep, 0], w[keep])
 
 
 def m_step(

@@ -42,34 +42,21 @@ def _unit_cols(data: np.ndarray) -> np.ndarray:
     return data / norms
 
 
-def _mapped_unit_queries(
-    params: ModelParams, S: EmbeddingMatrix, src_indices: np.ndarray
-) -> np.ndarray:
-    q = params.omega @ S.data[:, src_indices]
-    return _unit_cols(q)
-
-
-def _source_ids(S: EmbeddingMatrix, src_indices) -> np.ndarray:
+def _top_cosines(
+    params: ModelParams, S: EmbeddingMatrix, T: EmbeddingMatrix, src_indices, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(target ids, cosines) of the k nearest targets per source id; ids must lie in S."""
     idx = np.asarray(src_indices, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= S.n_words):
         raise IndexError(f"source index out of range [0, {S.n_words})")
-    return idx
-
-
-def _top_cosines(
-    params: ModelParams, S: EmbeddingMatrix, T: EmbeddingMatrix, idx: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(target ids, cosines) of the k nearest targets per source id in idx."""
-    q = _mapped_unit_queries(params, S, idx)
-    return score_top_k(q, _unit_cols(T.data), k)
+    return score_top_k(_unit_cols(params.omega @ S.data[:, idx]), _unit_cols(T.data), k)
 
 
 def translate_batch(
     params: ModelParams, S: EmbeddingMatrix, T: EmbeddingMatrix, src_indices
 ) -> np.ndarray:
     """Cosine-nearest target id per source id; ties go to the lower target id."""
-    idx = _source_ids(S, src_indices)
-    return _top_cosines(params, S, T, idx, 1)[0][:, 0]
+    return _top_cosines(params, S, T, src_indices, 1)[0][:, 0]
 
 
 def topn_neighbors(
@@ -82,8 +69,7 @@ def topn_neighbors(
     """Top-n (target id, cosine) per source id, ranked with lower-id tie-breaks."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    idx = _source_ids(S, src_indices)
-    nn_idx, cos = _top_cosines(params, S, T, idx, n)
+    nn_idx, cos = _top_cosines(params, S, T, src_indices, n)
     return [
         [(int(i), float(c)) for i, c in zip(row_i, row_c)]
         for row_i, row_c in zip(nn_idx.tolist(), cos.tolist())
@@ -153,7 +139,7 @@ def word_similarity(
         raise ValueError(
             f"need at least 2 in-vocabulary word-similarity triples, got {len(golds)}"
         )
-    q = _mapped_unit_queries(params, S, np.array(src_ids, dtype=np.int64))
+    q = _unit_cols(params.omega @ S.data[:, np.array(src_ids, dtype=np.int64)])
     t = _unit_cols(T.data[:, np.array(trg_ids, dtype=np.int64)])
     cos = np.einsum("ij,ij->j", t, q)
     for name, x in (("gold scores", np.asarray(golds)), ("cosines", cos)):
@@ -179,12 +165,9 @@ def hubness(
     so the counts sum to k times the number of queries.  Ties go to the
     lower target id, the same rule as candidate construction.
     """
-    idx = _source_ids(S, queries)
-    if idx.size == 0:
+    if np.size(queries) == 0:
         raise ValueError("empty query set")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     if k > T.n_words:
         raise ValueError(f"k = {k} exceeds target vocabulary size {T.n_words}")
-    nn_idx, _ = _top_cosines(params, S, T, idx, k)
+    nn_idx, _ = _top_cosines(params, S, T, queries, k)
     return np.bincount(nn_idx.ravel(), minlength=T.n_words)

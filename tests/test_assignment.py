@@ -32,12 +32,14 @@ MATCHING_CAPS = [PRIOR_CAPS[p] for p in (PRIOR_ONE_TO_ONE, PRIOR_ONE_TO_TWO, PRI
 
 class TestMatching:
     def test_pairs_sorted_and_summed(self):
-        """Pairs come out target-sorted; the total is order-independent."""
-        m = Matching(3, 3, [2, 0], [0, 1], [0.3, 0.5])
+        """Pairs come out target-sorted, each side keeps its own size, and the
+        total is order-independent."""
+        m = Matching(3, 4, [2, 0], [0, 1], [0.3, 0.5])
+        assert (m.n_trg, m.n_src) == (3, 4)
         assert pairs(m) == [(0, 1), (2, 0)]
         assert m.weight.tolist() == [0.5, 0.3]
         assert m.total_weight == pytest.approx(0.8)
-        m2 = Matching(3, 3, [0, 2], [1, 0], [0.5, 0.3])
+        m2 = Matching(3, 4, [0, 2], [1, 0], [0.5, 0.3])
         assert m2.total_weight == m.total_weight
 
     def test_mismatched_arrays_rejected(self):
@@ -54,12 +56,6 @@ class TestMatching:
             Matching(2, 2, [0, 0], [0, 1], [1.0, 1.0]).assert_degrees(1, None)
         with pytest.raises(ValueError, match="range"):
             Matching(2, 2, [2], [0], [1.0]).assert_degrees(None, None)
-
-    def test_unmatched_helpers(self):
-        m = Matching(3, 4, [1], [2], [1.0])
-        assert set(m.trg.tolist()) == {1}
-        assert set(m.src.tolist()) == {2}
-        assert np.setdiff1d(np.arange(m.n_src), m.src).tolist() == [0, 1, 3]
 
 
 class TestHungarianDense:

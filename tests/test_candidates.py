@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,9 @@ from conftest import (
     random_unit_matrix,
     unit_columns,
 )
-from lexmatch.candidates import build_candidates, edge_weight
+from lexmatch.candidates import CandidateGraph, build_candidates, edge_weight, weight_terms
 from lexmatch.em import ModelParams
+from lexmatch.embeddings import EmbeddingMatrix
 from oracles import edge_weight_reference
 
 IDENT2 = ModelParams(np.eye(2), np.zeros(2))
@@ -235,3 +238,40 @@ class TestCandidateGraph:
         """Each source's edges keep their adjacency order."""
         g = graph(2, 3, [[(2, 0.9), (0, 0.1)], [(1, 0.4)]])
         assert graph_edges(g) == [(2, 0, 0.9), (0, 0, 0.1), (1, 1, 0.4)]
+
+
+def raw_graph(n_src, indptr, targets, weights):
+    """A CandidateGraph over 2 targets from arrays given as they are."""
+    return CandidateGraph(
+        n_src, 2, np.array(indptr, dtype=np.int64), np.array(targets, dtype=np.int64),
+        np.array(weights, dtype=np.float64),
+    )
+
+
+E2 = EmbeddingMatrix(2, np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: raw_graph(2, [0, 1], [0], [1.0]).validate(), "malformed indptr"),
+        (lambda: raw_graph(1, [1, 1], [0], [1.0]).validate(), "malformed indptr"),
+        (lambda: raw_graph(2, [0, 2, 1], [0], [1.0]).validate(), "indptr not monotone"),
+        (lambda: raw_graph(1, [0, 1], [], [1.0]).validate(),
+         "edge array lengths disagree with indptr"),
+        (lambda: raw_graph(1, [0, 1], [0], []).validate(),
+         "edge array lengths disagree with indptr"),
+        (lambda: raw_graph(1, [0, 1], [0], [np.nan]).validate(), "non-finite edge weight"),
+        (lambda: raw_graph(1, [0, 1], [0], [-0.5]).validate(),
+         "negative edge weight (pruning not applied?)"),
+        (lambda: weight_terms(E2, EmbeddingMatrix(3, np.eye(3)), IDENT2),
+         "dimension mismatch: source 2, target 3"),
+        (lambda: weight_terms(E2, E2, IDENT2, restrict=(3, 1)),
+         "restriction (3, 1) exceeds vocabulary sizes (2, 2)"),
+        (lambda: weight_terms(E2, E2, IDENT2, restrict=(1, 0)),
+         "restriction (1, 0) exceeds vocabulary sizes (2, 2)"),
+    ],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

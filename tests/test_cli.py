@@ -608,6 +608,31 @@ class TestQuery:
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["hubness", "query"])
+def test_closed_stdout_exits_1_quietly(planted, model, command, buffered):
+    """Writing to a pipe whose reader has gone exits 1 and prints nothing on
+    stderr, whether the output sits in stdout's buffer until exit or not."""
+    argv = [command, "--model", model, "--src-emb", planted["src"], "--trg-emb", planted["trg"]]
+    if command == "hubness":
+        argv += ["--queries", planted["gold"], "--k", "1"]
+    else:
+        argv += ["--word", planted["src_words"][3], "--topn", "1"]
+    src = os.path.dirname(os.path.dirname(lexmatch.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run([sys.executable, "-m", "lexmatch.cli", *argv], stdout=write_end,
+                             stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (1, "")
+
+
 # run in a fresh interpreter: a heap that earlier tests left with large free
 # chunks could serve the block without any mapping
 _MAPPED_PROBE = """

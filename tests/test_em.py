@@ -1,4 +1,5 @@
 import logging
+import re
 import zipfile
 from collections import Counter
 from unittest import mock
@@ -673,10 +674,12 @@ class TestModelIO:
         params = ModelParams(random_orthogonal(4, rng), np.zeros(4))
         path = str(tmp_path / "model.npz")
         save_model(path, Model(params, NORM_UNIT))
-        blob = dict(np.load(path))
+        with np.load(path) as data:
+            blob = dict(data)
         blob["omega"] = blob["omega"] * 1.5
-        np.savez(open(path, "wb"), **blob)
-        with pytest.raises(ValueError):
+        with open(path, "wb") as fh:
+            np.savez(fh, **blob)
+        with pytest.raises(ValueError, match="not orthogonal"):
             load_model(path)
 
     def test_unknown_version_rejected(self, tmp_path):
@@ -684,8 +687,40 @@ class TestModelIO:
         params = ModelParams(random_orthogonal(3, rng), np.zeros(3))
         path = str(tmp_path / "model.npz")
         save_model(path, Model(params, NORM_UNIT))
-        blob = dict(np.load(path))
+        with np.load(path) as data:
+            blob = dict(data)
         blob["format_version"] = np.int64(99)
-        np.savez(open(path, "wb"), **blob)
+        with open(path, "wb") as fh:
+            np.savez(fh, **blob)
         with pytest.raises(ValueError, match="version"):
             load_model(path)
+
+
+IDENT2 = ModelParams(np.eye(2), np.zeros(2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda tmp: ModelParams(np.eye(2), np.zeros(3)).validate(),
+         "inconsistent parameter shapes (2, 2), (3,)"),
+        (lambda tmp: ModelParams(np.ones((2, 3)), np.zeros(2)).validate(),
+         "inconsistent parameter shapes (2, 3), (2,)"),
+        (lambda tmp: EmConfig(min_iters=0), "min_iters must be >= 1, got 0"),
+        (lambda tmp: EmConfig(rank_restrict=(5, 0)),
+         "rank_restrict bounds must be >= 1, got (5, 0)"),
+        (lambda tmp: EmConfig(threads=0), "threads must be >= 1, got 0"),
+        (lambda tmp: procrustes(np.zeros((2, 3)), np.zeros((2, 2))),
+         "paired matrices differ in shape: (2, 3) vs (2, 2)"),
+        (lambda tmp: procrustes(np.zeros((2, 0)), np.zeros((2, 0))),
+         "need at least one matched column pair"),
+        (lambda tmp: procrustes(np.zeros(2), np.zeros(2)),
+         "need at least one matched column pair"),
+        (lambda tmp: save_model(str(tmp / "m.npz"), Model(IDENT2, "l2")),
+         "unknown normalization 'l2'"),
+    ],
+)
+def test_input_checks(tmp_path, call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(tmp_path)
+    assert list(tmp_path.iterdir()) == []

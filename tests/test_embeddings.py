@@ -1,4 +1,5 @@
 import os
+import re
 import threading
 import warnings
 from unittest import mock
@@ -465,3 +466,18 @@ class TestNormalize:
         _, twice = normalize_pair(lex, once, NORM_UNIT)
         np.testing.assert_allclose(twice.data, once.data, atol=1e-15)
         np.testing.assert_allclose(np.linalg.norm(once.data, axis=0), 1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda lex, m, tmp: save_embeddings(str(tmp / "e.txt"), lex, m),
+        lambda lex, m, tmp: normalize_pair(lex, m, NORM_UNIT),
+    ],
+    ids=["save_embeddings", "normalize_pair"],
+)
+def test_lexicon_and_matrix_sizes_must_agree(tmp_path, call):
+    message = "lexicon size 1 != matrix column count 2"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(Lexicon(["a"]), EmbeddingMatrix(2, np.eye(2)), tmp_path)
+    assert list(tmp_path.iterdir()) == []

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,11 +194,11 @@ class TestHubness:
     def test_k_bounds_checked(self):
         S = EmbeddingMatrix(2, np.eye(2))
         T = EmbeddingMatrix(2, np.eye(2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^k = 3 exceeds target vocabulary size 2$"):
             hubness(IDENT2, S, T, [0], k=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
             hubness(IDENT2, S, T, [0], k=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^empty query set$"):
             hubness(IDENT2, S, T, [], k=1)
 
     @settings(deadline=None, max_examples=40)
@@ -214,3 +216,26 @@ class TestHubness:
         queries = list(range(n_src))
         counts = hubness(params, S, T, queries, k=k)
         assert int(counts.sum()) == k * n_src
+
+
+E2 = EmbeddingMatrix(2, np.eye(2))
+LEX2 = Lexicon(["a", "b"])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: translate_batch(IDENT2, E2, E2, [0, 2]), IndexError,
+         "source index out of range [0, 2)"),
+        (lambda: topn_neighbors(IDENT2, E2, E2, [-1], 1), IndexError,
+         "source index out of range [0, 2)"),
+        (lambda: hubness(IDENT2, E2, E2, [1, 2], k=1), IndexError,
+         "source index out of range [0, 2)"),
+        (lambda: topn_neighbors(IDENT2, E2, E2, [0], 0), ValueError, "n must be >= 1, got 0"),
+        (lambda: precision_at_1(IDENT2, E2, E2, {"a": {"b"}, "b": set()}, LEX2, LEX2),
+         ValueError, "gold entry 'b' has an empty reference set"),
+    ],
+)
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,4 +1,4 @@
-"""Every caller of the blocked top-k kernel against a brute-force ranking.
+"""The blocked top-k kernel and every caller against a brute-force ranking.
 
 Vectors are drawn from a small pool of 4-d integer vectors whose norms are
 0, 1, 2 or 4, and the map is a signed permutation, so every weight and every
@@ -85,6 +85,28 @@ def cosine_matrix(S, T, params, ids):
 
 
 class TestKernelCallers:
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.integers(1, 14),
+        st.integers(1, 40),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_kernel(self, nq, nc, k, block, offset, seed, data):
+        """The k best columns of Q.C + c_offset, and exactly their scores."""
+        rng = np.random.default_rng(seed)
+        Q, C = (rng.integers(-2, 3, size=(3, n)).astype(np.float64) for n in (nq, nc))
+        c_offset = rng.integers(-2, 3, size=nc).astype(np.float64) if offset else None
+        scores = Q.T @ C + (0.0 if c_offset is None else c_offset)
+        with small_blocks(block, data):
+            idx, val = candidates.score_top_k(Q, C, k, c_offset=c_offset, threads=1)
+        want = ranked(scores, k)
+        assert idx.tolist() == [r.tolist() for r in want]
+        assert val.tolist() == [row[r].tolist() for row, r in zip(scores, want)]
+
     @settings(deadline=None, max_examples=150)
     @given(
         instances(),
@@ -154,14 +176,11 @@ class TestKernelCallers:
         assert counts.tolist() == hub.tolist()
 
 
-def score_top_k_with(Q, C, k, offsets, threads, block, select):
+def score_top_k_with(Q, C, k, c_offset, threads, block, select):
     """score_top_k's (idx, val) bytes with both block constants patched."""
-    q_offset, c_offset = offsets
     with mock.patch.object(candidates, "BLOCK_ELEMENTS", block), \
             mock.patch.object(candidates, "_SELECT_ELEMENTS", select):
-        idx, val = candidates.score_top_k(
-            Q, C, k, q_offset=q_offset, c_offset=c_offset, threads=threads
-        )
+        idx, val = candidates.score_top_k(Q, C, k, c_offset=c_offset, threads=threads)
     return idx.dtype, idx.shape, idx.tobytes(), val.dtype, val.tobytes()
 
 
@@ -188,10 +207,10 @@ class TestSlicedSelection:
         rng = np.random.default_rng(seed)
         Q = rng.standard_normal((d, nq))
         C = rng.standard_normal((d, nc))
-        offsets = (rng.standard_normal(nq), rng.standard_normal(nc)) if offset else (None, None)
-        whole = score_top_k_with(Q, C, k, offsets, threads, block, block + nc)
+        c_offset = rng.standard_normal(nc) if offset else None
+        whole = score_top_k_with(Q, C, k, c_offset, threads, block, block + nc)
         for rows in (1, 3):
-            assert score_top_k_with(Q, C, k, offsets, threads, block, rows * nc) == whole
+            assert score_top_k_with(Q, C, k, c_offset, threads, block, rows * nc) == whole
 
     @pytest.mark.parametrize("k", [1, 3, 4, 5, 20])
     @pytest.mark.parametrize("threads", [1, 3])
@@ -200,10 +219,10 @@ class TestSlicedSelection:
         rng = np.random.default_rng(k)
         Q = rng.standard_normal((50, 700))
         C = rng.standard_normal((50, 3001))
-        offsets = (rng.standard_normal(700), rng.standard_normal(3001))
+        c_offset = rng.standard_normal(3001)
         block = 300 * 3001
         assert candidates._SELECT_ELEMENTS // 3001 < 300
-        whole = score_top_k_with(Q, C, k, offsets, threads, block, block)
+        whole = score_top_k_with(Q, C, k, c_offset, threads, block, block)
         assert score_top_k_with(
-            Q, C, k, offsets, threads, block, candidates._SELECT_ELEMENTS
+            Q, C, k, c_offset, threads, block, candidates._SELECT_ELEMENTS
         ) == whole

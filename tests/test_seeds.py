@@ -4,7 +4,13 @@ import pytest
 
 from lexmatch.embeddings import Lexicon
 from lexmatch.evaluation import load_eval_dictionary, load_wordsim_tsv
-from lexmatch.seeds import seed_from_tsv, seed_identical, seed_numerals
+from lexmatch.seeds import (
+    PROVENANCE_TSV,
+    SeedDictionary,
+    seed_from_tsv,
+    seed_identical,
+    seed_numerals,
+)
 
 
 def tsv(tmp_path, text):
@@ -150,3 +156,7 @@ class TestSeedIdentical:
     def test_disjoint_vocabularies_rejected(self):
         with pytest.raises(ValueError):
             seed_identical(Lexicon(["a"]), Lexicon(["b"]))
+
+
+def test_coverage_of_an_empty_request_is_zero():
+    assert SeedDictionary([], PROVENANCE_TSV, 0).coverage == 0.0
