@@ -4,7 +4,7 @@ Embeddings are kept as a (Lexicon, EmbeddingMatrix) pair: the lexicon maps
 words to contiguous integer ids, the matrix stores one embedding per column
 so that column i belongs to word i of the lexicon.  File format is the
 word2vec text format: a "n d" header line followed by n lines of
-"word v1 ... vd", UTF-8 encoded.
+"word v1 ... vd", UTF-8 encoded with or without a byte-order mark.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import hashlib
 import io
 import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -99,11 +100,12 @@ def load_embeddings(
 
     The accepted values are exactly Python float() syntax, finite only.
     Tolerates \\r\\n line endings, one trailing space before the line end,
-    a missing trailing newline and blank trailing lines.  Raises ValueError
-    with a 1-based line number for a malformed header, a row whose value
-    count disagrees with the header dimension, a duplicate word, an
-    unparseable or non-finite value, a file shorter than the header's count,
-    or a row past it.  max_vocab keeps only the first rows, i.e. the most
+    a missing trailing newline and blank trailing lines.  Raises ValueError,
+    its message after path, with a 1-based line number for a malformed
+    header, a row whose value count disagrees with the header dimension, a
+    duplicate word, an unparseable or non-finite value, a file shorter than
+    the header's count, or a row past it, and for text that is not UTF-8
+    (see input_errors).  max_vocab keeps only the first rows, i.e. the most
     frequent words in frequency-sorted files, and ignores the rest.
 
     The rows are read forward only (a pipe works) in blocks of
@@ -111,12 +113,12 @@ def load_embeddings(
     that this bulk parse does not take whole goes through _parse_rows, the
     row parser that defines what is accepted and words every error.
 
-    hasher, a hashlib object, is fed every byte that the read consumes:
-    the whole file when max_vocab is None.
+    hasher, a hashlib object, is fed every byte of the file, read whole
+    before it is parsed.
     """
     names: list[str] = []
     seen: dict[str, int] = {}
-    with _open_text(path, hasher) as fh:
+    with input_errors(path), _open_text(path, hasher) as fh:
         n_declared, dim = _read_header(fh)
         n_rows = n_declared if max_vocab is None else min(n_declared, max_vocab)
         lines = islice(fh, n_rows)
@@ -134,7 +136,7 @@ def load_embeddings(
                 f"line {m + 2}: unexpected end of file, header declared {n_declared} rows"
             )
         if max_vocab is None:
-            # reads the file to its end, through the hash
+            # only blank lines may follow the declared rows
             for lineno, line in enumerate(fh, start=n_declared + 2):
                 if line.strip():
                     raise ValueError(
@@ -155,32 +157,45 @@ def file_sha256(path: str) -> str | None:
     return digest.hexdigest()
 
 
-class _HashedReader(io.RawIOBase):
-    """A binary file that adds every byte read from it to hasher."""
+@contextmanager
+def input_errors(path: str):
+    """Re-raises a ValueError from reading the text file at path with path
+    before its message.  Text that is not UTF-8 raises "path: line N: not
+    valid UTF-8", without the line for a file that cannot be read again,
+    such as a pipe."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: {_bad_utf8_line(path)}not valid UTF-8") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
-    def __init__(self, raw, hasher) -> None:
-        self._raw = raw
-        self._hasher = hasher
 
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buf) -> int:
-        n = self._raw.readinto(buf)
-        self._hasher.update(memoryview(buf)[:n])
-        return n
-
-    def close(self) -> None:
-        self._raw.close()
-        super().close()
+def _bad_utf8_line(path: str) -> str:
+    """"line N: " for the first line of the regular file at path that is not
+    UTF-8, else ""."""
+    if os.path.isfile(path):
+        # latin-1 reads each byte as one character, so lines split where
+        # they split in the UTF-8 text
+        with open(path, encoding="latin-1") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    line.encode("latin-1").decode("utf-8")
+                except UnicodeDecodeError:
+                    return f"line {lineno}: "
+    return ""
 
 
 def _open_text(path: str, hasher):
-    """The file as open(path, encoding="utf-8") reads it, hashed into hasher if given."""
+    """The file as open(path, encoding="utf-8-sig") reads it.  With hasher, the
+    file is read whole and those bytes are both hashed and parsed, so that
+    the digest covers exactly what was parsed, also from a pipe."""
     if hasher is None:
-        return open(path, encoding="utf-8")
-    raw = _HashedReader(open(path, "rb", buffering=0), hasher)
-    return io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8")
+        return open(path, encoding="utf-8-sig")
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    hasher.update(raw)
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig")
 
 
 def _read_header(fh) -> tuple[int, int]:

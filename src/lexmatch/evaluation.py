@@ -27,12 +27,12 @@ def load_wordsim_tsv(path: str) -> list[tuple[str, str, float]]:
         try:
             value = float(score)
         except ValueError:
-            raise ValueError(f"line {lineno}: unparseable score {score!r}") from None
+            raise ValueError(f"{path}: line {lineno}: unparseable score {score!r}") from None
         if not np.isfinite(value):
-            raise ValueError(f"line {lineno}: non-finite score {score!r}")
+            raise ValueError(f"{path}: line {lineno}: non-finite score {score!r}")
         triples.append((src, trg, value))
     if not triples:
-        raise ValueError(f"empty word-similarity file {path}")
+        raise ValueError(f"{path}: empty word-similarity file")
     return triples
 
 

@@ -6,7 +6,7 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from lexmatch.embeddings import Lexicon
+from lexmatch.embeddings import Lexicon, input_errors
 
 _NUMERAL = re.compile(r"[0-9]+")
 
@@ -42,11 +42,12 @@ def tsv_fields(path: str, shape: str) -> Iterator[tuple[int, list[str]]]:
     """(1-based line number, fields) for each non-blank line of a UTF-8 TSV file.
 
     shape spells the line, e.g. "src<TAB>trg"; a line with another number of
-    tab-separated fields raises ValueError naming it.  A CRLF line end reads
-    as LF, and a leading byte-order mark is dropped.
+    tab-separated fields raises ValueError naming it, after path (see
+    input_errors).  A CRLF line end reads as LF, and a leading byte-order
+    mark is dropped.
     """
     n_fields = shape.count("<TAB>") + 1
-    with open(path, encoding="utf-8-sig") as fh:
+    with input_errors(path), open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\r\n")
             if not line:

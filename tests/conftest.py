@@ -4,8 +4,10 @@ Everything here is deterministic given the rng passed in; tests construct
 their own generators with fixed seeds so failures reproduce exactly.
 """
 
+import contextlib
 import os
 import sys
+import threading
 
 import numpy as np
 
@@ -15,6 +17,25 @@ from lexmatch.seeds import PROVENANCE_TSV, SeedDictionary
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts"))
 from planted_demo import build, random_orthogonal, unit_columns  # noqa: E402
+
+
+@contextlib.contextmanager
+def piped(data):
+    """A /dev/fd path that reads data from a pipe, fed by a thread."""
+    r, w = os.pipe()
+
+    def feed():
+        with os.fdopen(w, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        yield f"/dev/fd/{r}"
+    finally:
+        writer.join(timeout=10)
+        os.close(r)
+    assert not writer.is_alive()
 
 
 def random_unit_matrix(d, n, rng):

@@ -174,12 +174,12 @@ class TestInduce:
             "--quiet",
         ])
         assert rc == 1
-        assert "error: line 3: expected 2 values" in capsys.readouterr().err
+        assert f"error: {blank}: line 3: expected 2 values" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, message", [
-        ("", "line 1: empty file, expected 'n d' header"),
-        ("a b\n", "line 1: malformed header 'a b', expected two integers"),
-        ("-1 5\n", "line 1: invalid header counts n=-1 d=5"),
+        ("", "{bad}: line 1: empty file, expected 'n d' header"),
+        ("a b\n", "{bad}: line 1: malformed header 'a b', expected two integers"),
+        ("-1 5\n", "{bad}: line 1: invalid header counts n=-1 d=5"),
         ("1 9\n1990" + " 1" * 9 + "\n", "dimension mismatch: source 9, target 8"),
     ], ids=["empty", "non-integer", "negative", "9-d"])
     def test_bad_source_file_fails(self, planted, tmp_path, capsys, text, message):
@@ -196,7 +196,7 @@ class TestInduce:
             "--quiet",
         ])
         assert rc == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {message.format(bad=bad)}\n"
 
 
 @pytest.fixture(scope="module")
@@ -459,13 +459,13 @@ class TestEvaluate:
         ws.write_text("".join(f"{s}\t{t}\t{v}\n" for (s, t), v in zip(gold, scores)))
         argv = self.wordsim_args(planted, model, ws) + (["--json"] if as_json else [])
         assert main(argv) == 1
-        assert capsys.readouterr() == ("", f"error: line 3: non-finite score {score!r}\n")
+        assert capsys.readouterr() == ("", f"error: {ws}: line 3: non-finite score {score!r}\n")
 
     def test_empty_wordsim_file_fails(self, planted, model, tmp_path, capsys):
         empty = tmp_path / "empty.tsv"
         empty.write_text("")
         assert main(self.wordsim_args(planted, model, empty)) == 1
-        assert capsys.readouterr() == ("", f"error: empty word-similarity file {empty}\n")
+        assert capsys.readouterr() == ("", f"error: {empty}: empty word-similarity file\n")
 
     def test_empty_eval_dict_fails(self, planted, model, tmp_path, capsys):
         empty = tmp_path / "empty.tsv"

@@ -1,6 +1,6 @@
+import hashlib
 import os
 import re
-import threading
 import warnings
 from unittest import mock
 
@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import piped
 from lexmatch import embeddings
 from lexmatch.embeddings import (
     NORM_NONE,
@@ -69,6 +70,16 @@ class TestLoadEmbeddings:
         np.testing.assert_allclose(mat.data[:, 0], [1.0, 0.0, 0.0])
         np.testing.assert_allclose(mat.data[:, 1], [0.0, 1.0, 0.0])
 
+    @pytest.mark.parametrize("hashed", [False, True], ids=["plain", "hashed"])
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["no-bom", "bom"])
+    def test_byte_order_mark_not_read_as_text(self, tmp_path, bom, hashed):
+        """A UTF-8 byte-order mark before the header is not part of it, in a
+        plain or a hashed read."""
+        path = self.write(tmp_path, bom + "2 3\na 1 0 0\nb 0 1 0\n")
+        lex, mat = load_embeddings(path, hasher=hashlib.sha256() if hashed else None)
+        assert lex.words == ["a", "b"]
+        np.testing.assert_array_equal(mat.data, [[1, 0], [0, 1], [0, 0]])
+
     def test_max_vocab_truncates(self, tmp_path):
         """max_vocab=1 keeps only the first word."""
         path = self.write(tmp_path, "2 3\na 1 0 0\nb 0 1 0\n")
@@ -116,6 +127,16 @@ class TestLoadEmbeddings:
         path = self.write(tmp_path, "1 2\na nan 0\n")
         with pytest.raises(ValueError, match="line 2"):
             load_embeddings(path)
+
+    @pytest.mark.parametrize("hashed", [False, True], ids=["plain", "hashed"])
+    def test_invalid_utf8_reports_line(self, tmp_path, hashed):
+        """A byte that is not UTF-8 fails naming the file and the line, counted
+        as the parser counts lines: a lone CR ends one."""
+        path = tmp_path / "emb.vec"
+        path.write_bytes(b"2 2\r\na 1 0\rb\xff 0 1\n")
+        message = f"{path}: line 3: not valid UTF-8"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_embeddings(str(path), hasher=hashlib.sha256() if hashed else None)
 
     def test_truncated_file_rejected(self, tmp_path):
         """Header promising more rows than present is an error, not silence."""
@@ -197,10 +218,10 @@ def word2vec_files(draw):
     return text, dim, max_vocab
 
 
-def load_outcome(path, max_vocab):
+def load_outcome(path, max_vocab, hasher=None):
     """(words, float64 bytes) of a load, or the error it raises."""
     try:
-        lex, mat = load_embeddings(path, max_vocab=max_vocab)
+        lex, mat = load_embeddings(path, max_vocab=max_vocab, hasher=hasher)
     except ValueError as exc:
         return "error", str(exc)
     return lex.words, mat.data.shape, mat.data.tobytes()
@@ -222,13 +243,19 @@ class TestBulkParse:
     def test_matches_row_parser(self, tmp_path_factory, file, block_rows):
         """Same words and float64 bytes, or the same error text, as the row
         parser applied to every row; blocks of 1-3 rows put failures,
-        duplicates and the file's end in later blocks."""
+        duplicates and the file's end in later blocks.  A hashed load of the
+        whole file gives the same, and the sha256 of the file's bytes."""
         text, dim, max_vocab = file
         path = self.write(tmp_path_factory.getbasetemp(), text)
         with mock.patch.object(embeddings, "_bulk_rows", return_value=False):
             expected = load_outcome(path, max_vocab)
         with mock.patch.object(embeddings, "BLOCK_VALUES", block_rows * dim):
             assert load_outcome(path, max_vocab) == expected
+            if max_vocab is None:
+                hasher = hashlib.sha256()
+                assert load_outcome(path, None, hasher) == expected
+                if expected[0] != "error":
+                    assert hasher.digest() == hashlib.sha256(text.encode("utf-8")).digest()
 
     @pytest.mark.parametrize("trail", ["", " "])
     def test_clean_rows_skip_row_parser(self, tmp_path, trail):
@@ -246,31 +273,22 @@ class TestBulkParse:
         ("2 3\na 1 0 0\nb 0 1 0\n", (["a", "b"], [[1, 0], [0, 1], [0, 0]])),
         ("2 2\na 1_0 0\nb 0 1\n", (["a", "b"], [[10, 0], [0, 1]])),
         ("3 2\na 1 0\nb x 1\nc 0 1\n", "line 3: unparseable value for word 'b'"),
+        # a pipe cannot be read again to find the line
+        ("3 2\na 1 0\nb\udcff 0 1\nc 0 1\n", "not valid UTF-8"),
     ])
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
     def test_pipe_input(self, text, expected):
         """A pipe (as from `--src-emb <(zcat x.vec.gz)`) loads, falls back and
-        fails as a regular file does: the loader never seeks."""
-        r, w = os.pipe()
-
-        def feed():
-            with os.fdopen(w, "wb") as fh:
-                fh.write(text.encode("utf-8"))
-
-        writer = threading.Thread(target=feed)
-        writer.start()
-        try:
+        fails as a regular file does: the loader never seeks.  "\\udcff"
+        writes the byte 0xff."""
+        with piped(text.encode("utf-8", "surrogateescape")) as path:
             if isinstance(expected, str):
-                with pytest.raises(ValueError, match=expected):
-                    load_embeddings(f"/dev/fd/{r}")
+                with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {expected}')}$"):
+                    load_embeddings(path)
             else:
-                lex, mat = load_embeddings(f"/dev/fd/{r}")
+                lex, mat = load_embeddings(path)
                 assert lex.words == expected[0]
                 np.testing.assert_array_equal(mat.data, expected[1])
-        finally:
-            writer.join(timeout=10)
-            os.close(r)
-        assert not writer.is_alive()
 
     @pytest.mark.parametrize("text, expected", [
         ("0 3\n", ([], (3, 0))),

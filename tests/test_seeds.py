@@ -14,8 +14,10 @@ from lexmatch.seeds import (
 
 
 def tsv(tmp_path, text):
+    """A file of text in UTF-8, in which a lone surrogate such as "\\udcff"
+    stands for the byte 0xff that no UTF-8 text holds."""
     p = tmp_path / "seed.tsv"
-    p.write_text(text, encoding="utf-8")
+    p.write_bytes(text.encode("utf-8", "surrogateescape"))
     return str(p)
 
 
@@ -79,13 +81,20 @@ READERS = {
     ("wordsim", "uno\tone\t1\n\ndos\ttwo\r\n",
      "line 3: expected 'src<TAB>trg<TAB>score', got 'dos\\ttwo'"),
     ("wordsim", "uno\tone\t1\n\ndos\ttwo\thigh\n", "line 3: unparseable score 'high'"),
+    # a byte that is not UTF-8 names its line, counted as the text reader
+    # counts lines: a lone CR ends one
+    ("seed", "uno\tone\r\n\r\ndos\udcff\ttwo\r\n", "line 3: not valid UTF-8"),
+    ("gold", "uno\tone\n\nuno\tdos\n\udcff\n", "line 4: not valid UTF-8"),
+    ("wordsim", "uno\tone\t1\r\rdos\ttwo\t2\udcff\r", "line 3: not valid UTF-8"),
 ], ids=["seed-crlf-blank", "gold-crlf-blank", "wordsim-crlf-blank", "seed-fields",
-        "gold-fields", "wordsim-fields", "wordsim-score"])
+        "gold-fields", "wordsim-fields", "wordsim-score", "seed-utf8", "gold-utf8",
+        "wordsim-utf8-cr"])
 def test_tsv_line_rules(tmp_path, reader, text, expected):
-    """The three TSV readers share one set of line rules and messages."""
+    """The three TSV readers share one set of line rules and messages, each
+    message after the file's path."""
     path = tsv(tmp_path, text)
     if isinstance(expected, str):
-        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {expected}')}$"):
             READERS[reader](path)
     else:
         assert READERS[reader](path) == expected

@@ -7,7 +7,6 @@ import hashlib
 import io
 import json
 import os
-import threading
 from unittest import mock
 
 import numpy as np
@@ -16,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lexmatch.cli
-from conftest import random_orthogonal
+from conftest import piped, random_orthogonal
 from lexmatch.cli import main
 from lexmatch.em import load_model
 from lexmatch.embeddings import (
@@ -111,10 +110,11 @@ def files(tmp_path_factory):
     return d
 
 
-def induce(d, out, *extra):
+def induce(d, out, *extra, src=None):
+    """Trains on d's files, or on src in place of d's source file."""
     model = out / "model.npz"
     rc, _, err = run([
-        "induce", "--src-emb", str(d / "src.vec"), "--trg-emb", str(d / "trg.vec"),
+        "induce", "--src-emb", str(src or d / "src.vec"), "--trg-emb", str(d / "trg.vec"),
         "--seed", f"tsv:{d / 'seed.tsv'}", "--out-dict", str(out / "dict.tsv"),
         "--model-out", str(model), "--max-iters", "5", "--quiet", *extra,
     ])
@@ -239,7 +239,7 @@ class TestFullParseGate:
                                        files, QUERY_WORDS).items():
                 rc, _, err = run(argv)
                 assert rc == 1, (side, name)
-                assert f"error: line {row + 1}: " in err, (side, name, err)
+                assert f"error: {paths[side]}: line {row + 1}: " in err, (side, name, err)
 
     def test_version_1_model_reproduces_old_outputs(self, files, ucu_model, tmp_path):
         with np.load(ucu_model) as data:
@@ -290,28 +290,29 @@ class TestFullParseGate:
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
     def test_pipe_source_is_parsed_in_full(self, files, ucu_model):
-        data = (files / "src.vec").read_bytes()
-        r, w = os.pipe()
-
-        def feed():
-            with os.fdopen(w, "wb") as fh:
-                fh.write(data)
-
-        writer = threading.Thread(target=feed)
-        writer.start()
-        try:
-            argv = commands(ucu_model, f"/dev/fd/{r}", files / "trg.vec", files,
-                            QUERY_WORDS, 3)["query"]
+        with piped((files / "src.vec").read_bytes()) as src:
+            argv = commands(ucu_model, src, files / "trg.vec", files, QUERY_WORDS, 3)["query"]
             with text_loads() as rows:
-                piped = run(argv)
-        finally:
-            writer.join(timeout=10)
-            os.close(r)
-        assert not writer.is_alive()
+                from_pipe = run(argv)
         assert rows == {"src": [N_FILE], "trg": []}
         argv = commands(ucu_model, files / "src.vec", files / "trg.vec", files,
                         QUERY_WORDS, 3)["query"]
-        assert piped == run(argv)
+        assert from_pipe == run(argv)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_piped_training_file_is_taken_from_the_model(self, files, ucu_model, tmp_path):
+        """induce reading the source from a pipe stores the sha256 of the
+        piped bytes, so evaluate on the regular file holding them parses no
+        text row and prints what it prints for the model trained on that file."""
+        data = (files / "src.vec").read_bytes()
+        with piped(data) as src:
+            model = induce(files, tmp_path, "--normalize", NORM_UNIT_CENTER_UNIT, src=src)
+        assert load_model(str(model)).src.sha256 == hashlib.sha256(data).hexdigest()
+        with no_text_parsed():
+            stored = run(commands(model, files / "src.vec", files / "trg.vec", files,
+                                  QUERY_WORDS)["evaluate"])
+        assert stored == run(commands(ucu_model, files / "src.vec", files / "trg.vec", files,
+                                      QUERY_WORDS)["evaluate"])
 
 
 def tampered(model, path, **fields):
